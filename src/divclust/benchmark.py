@@ -86,14 +86,23 @@ class ExperimentConfig:
             except DivclustError:
                 raise InvalidConfigError(f"unknown algorithm: {token!r}") from None
         if self.thread_count != "auto" and (
-            not isinstance(self.thread_count, int) or self.thread_count < 1
+            isinstance(self.thread_count, bool)
+            or not isinstance(self.thread_count, int)
+            or self.thread_count < 1
         ):
             raise InvalidConfigError("thread_count must be a positive integer or 'auto'")
 
     def resolved_threads(self) -> int:
         if self.thread_count == "auto":
-            return os.cpu_count() or 1
+            return _usable_cores()
         return int(self.thread_count)
+
+
+def _usable_cores() -> int:
+    """CPUs this process may run on (its affinity set where the OS reports one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -130,19 +139,20 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
 
     Work is distributed over datasets, one worker task per dataset, and
     results are reassembled in index order, so thread count never changes
-    any output bit.
+    any output bit. No more workers start than there are datasets or usable
+    CPUs.
     """
     config.validate()
     jobs = [
         (config.master_seed, i, config.objects, config.variables, config.algorithms)
         for i in range(config.dataset_count)
     ]
-    workers = min(config.resolved_threads(), config.dataset_count)
+    workers = min(config.resolved_threads(), _usable_cores(), config.dataset_count)
     if workers <= 1:
         rows = [_dataset_row(job) for job in jobs]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_dataset_row, jobs, chunksize=4))
+            rows = list(pool.map(_dataset_row, jobs, chunksize=1))
     return ResultTable(config.algorithms, tuple(rows))
 
 

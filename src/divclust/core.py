@@ -143,7 +143,12 @@ def validate_matrix(raw: np.ndarray | Sequence[Sequence[float]]) -> Dissimilarit
 
 
 def euclidean_from_data(data: np.ndarray | Sequence[Sequence[float]]) -> DissimilarityMatrix:
-    """Pairwise Euclidean distances from an objects-by-variables table."""
+    """Pairwise Euclidean distances from an objects-by-variables table.
+
+    Data whose squared differences overflow are measured relative to their
+    largest absolute entry; only distances that themselves exceed the float
+    range are rejected.
+    """
     arr = np.asarray(data, dtype=float)
     if arr.ndim != 2:
         raise DivclustError(f"expected a 2-D data table, got shape {arr.shape}")
@@ -154,8 +159,17 @@ def euclidean_from_data(data: np.ndarray | Sequence[Sequence[float]]) -> Dissimi
     if not np.isfinite(arr).all():
         raise NonFiniteEntryError("data entries must be finite")
     ii, jj = np.triu_indices(arr.shape[0], 1)
-    diff = arr[ii] - arr[jj]
-    return DissimilarityMatrix(arr.shape[0], np.sqrt((diff * diff).sum(axis=1)))
+    with np.errstate(over="ignore"):
+        diff = arr[ii] - arr[jj]
+        dist = np.sqrt((diff * diff).sum(axis=1))
+    if not np.isfinite(dist).all():
+        # squares overflowed: measure in units of the largest magnitude instead
+        scale = float(np.abs(arr).max())
+        unit = arr / scale
+        diff = unit[ii] - unit[jj]
+        with np.errstate(over="ignore"):
+            dist = scale * np.sqrt((diff * diff).sum(axis=1))
+    return DissimilarityMatrix(arr.shape[0], dist)
 
 
 def within_values(square: np.ndarray, members: Sequence[int] | np.ndarray) -> np.ndarray:

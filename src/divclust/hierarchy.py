@@ -280,16 +280,21 @@ def tree_from_json(text: str) -> Dendrogram:
 
 def to_newick(tree: Dendrogram) -> str:
     """Newick text: leaves are ``o<index+1>``, branch lengths are level drops."""
-
-    def render(node_id: int, parent_level: float | None) -> str:
+    parts: list[str] = []
+    # entries are (node id, parent level) to render, or literal text to emit
+    stack: list = [(tree.root.id, None)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+            continue
+        node_id, parent_level = item
         node = tree.nodes[node_id]
+        length = "" if parent_level is None else f":{parent_level - node.level:.9g}"
         if node.is_leaf:
-            label = f"o{node.members[0] + 1}"
+            parts.append(f"o{node.members[0] + 1}{length}")
         else:
             ca, cb = node.children
-            label = f"({render(ca, node.level)},{render(cb, node.level)})"
-        if parent_level is None:
-            return label
-        return f"{label}:{parent_level - node.level:.9g}"
-
-    return render(tree.root.id, None) + ";"
+            parts.append("(")
+            stack.extend((")" + length, (cb, node.level), ",", (ca, node.level)))
+    return "".join(parts) + ";"

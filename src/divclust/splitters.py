@@ -19,7 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Bipartition, DissimilarityMatrix, object_set
-from .criteria import Criterion, _score_sets, parse_criterion
+from .criteria import (
+    CHUNK_BYTES,
+    EXACT_SCREENS,
+    CandidateScreen,
+    Criterion,
+    _score_sets,
+    parse_criterion,
+)
 from .errors import ClusterTooSmallError, DivclustError, NoPositiveEigenvalueError
 
 POWER_ITERATION_TOL = 1e-10
@@ -78,6 +85,26 @@ def _to_bipartition(members: tuple[int, ...], left_local, right_local) -> Bipart
     return Bipartition(tuple(idx[left_local]), tuple(idx[right_local]))
 
 
+def _seed_pair_masks(sub: np.ndarray, seeds_a: np.ndarray, seeds_b: np.ndarray) -> np.ndarray:
+    """Bit-packed left-side masks of every seed pair, first occurrences only, in pair order."""
+    k = len(sub)
+    step = max(1, CHUNK_BYTES // (16 * k))
+    packed = []
+    for start in range(0, seeds_a.size, step):
+        a = seeds_a[start : start + step]
+        b = seeds_b[start : start + step]
+        # row x of the symmetric table is its column x: distances to seed x
+        mask = sub[a] <= sub[b]
+        rows = np.arange(a.size)
+        mask[rows, a] = True
+        mask[rows, b] = False
+        packed.append(np.packbits(mask, axis=1))
+    packed = np.concatenate(packed)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first = np.unique(keys, return_index=True)
+    return packed[np.sort(first)]
+
+
 def two_seeds_split(
     m: DissimilarityMatrix, members, criterion: Criterion
 ) -> Bipartition:
@@ -87,25 +114,43 @@ def two_seeds_split(
     remaining object joins the nearer seed, ties going to seed i. Candidates
     are scored with ``criterion`` and the first strict maximum over the
     lexicographic pair enumeration wins.
+
+    Candidates are built and screened in chunks of bounded scratch memory
+    (:class:`CandidateScreen`); only those whose screened score lies within
+    the error bands of the screened maximum are rescored exactly, so the
+    choice is the one exact scoring of every candidate would make.
     """
     ms, sub = _cluster_submatrix(m, members)
     k = len(ms)
     squared = sub**2 if criterion is Criterion.WARD_ORIGINAL else None
-    best = -np.inf
-    best_sides = None
-    for a in range(k):
-        col_a = sub[:, a]
-        for b in range(a + 1, k):
-            mask = col_a <= sub[:, b]
-            mask[a] = True
-            mask[b] = False
-            left = np.flatnonzero(mask)
-            right = np.flatnonzero(~mask)
+    # every (a, b) with a < b, in lexicographic order
+    pairs = np.nonzero(~np.tri(k, dtype=bool))
+    packed = _seed_pair_masks(sub, *pairs)
+    screen = CandidateScreen(criterion, sub if squared is None else squared, pairs)
+    screened = [
+        screen.score(np.unpackbits(chunk, axis=1, count=k).view(bool))
+        for chunk in np.split(packed, range(screen.chunk, len(packed), screen.chunk))
+    ]
+    scores = np.concatenate([chunk[0] for chunk in screened])
+    bands = np.concatenate([chunk[1] for chunk in screened])
+    # every candidate that can reach the best lower bound; a NaN anywhere
+    # fails every comparison and keeps them all, as exact scoring would see them
+    contenders = np.flatnonzero(~(scores + bands < np.max(scores - bands)))
+    if criterion in EXACT_SCREENS:
+        winner = contenders[0]
+    else:
+        best = -np.inf
+        winner = None
+        for c in contenders:
+            mask = np.unpackbits(packed[c], count=k).view(bool)
+            left, right = np.flatnonzero(mask), np.flatnonzero(~mask)
             score = _score_sets(criterion, sub, left, right, squared)
             if score > best:
-                best = score
-                best_sides = (left, right)
-    return _to_bipartition(ms, *best_sides)
+                best, winner = score, c
+        if winner is None:
+            raise DivclustError(f"no candidate split has a comparable {criterion.value} score")
+    mask = np.unpackbits(packed[winner], count=k).view(bool)
+    return _to_bipartition(ms, np.flatnonzero(mask), np.flatnonzero(~mask))
 
 
 def macnaughton_smith_split(m: DissimilarityMatrix, members) -> Bipartition:

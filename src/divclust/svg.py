@@ -19,12 +19,14 @@ def dendrogram_svg(tree: Dendrogram) -> str:
     """Render a dendrogram as a standalone SVG document."""
     root = tree.root
     leaf_order: list[int] = []
+    internal_preorder: list[int] = []
     stack = [root.id]
     while stack:
         node = tree.nodes[stack.pop()]
         if node.is_leaf:
             leaf_order.append(node.id)
         else:
+            internal_preorder.append(node.id)
             stack.append(node.children[1])
             stack.append(node.children[0])
     leaf_x = {nid: _MARGIN + rank * _LEAF_SPACING for rank, nid in enumerate(leaf_order)}
@@ -35,17 +37,12 @@ def dendrogram_svg(tree: Dendrogram) -> str:
     def y_of(level: float) -> float:
         return _MARGIN + (top - level) * scale
 
+    # junctions sit midway between their children; reversed preorder places
+    # every child before its parent
     x_of: dict[int, float] = dict(leaf_x)
-
-    def place(node_id: int) -> float:
-        node = tree.nodes[node_id]
-        if node.is_leaf:
-            return x_of[node_id]
-        x = (place(node.children[0]) + place(node.children[1])) / 2.0
-        x_of[node_id] = x
-        return x
-
-    place(root.id)
+    for nid in reversed(internal_preorder):
+        ca, cb = tree.nodes[nid].children
+        x_of[nid] = (x_of[ca] + x_of[cb]) / 2.0
     width = 2 * _MARGIN + (len(leaf_order) - 1) * _LEAF_SPACING
     height = _MARGIN + _PLOT_HEIGHT + _LABEL_GAP + _MARGIN
     parts = [

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import divclust as dc
+from divclust import benchmark
 from divclust.benchmark import _dataset_row, _mix64
 
 SMALL = dict(dataset_count=6, objects=12, variables=3, master_seed=7)
@@ -65,6 +66,7 @@ def test_config_defaults_match_the_reference_setup():
         dict(thread_count=0),
         dict(thread_count=-2),
         dict(thread_count="many"),
+        dict(thread_count=True),
     ],
 )
 def test_config_validation_rejects(kwargs):
@@ -75,6 +77,57 @@ def test_config_validation_rejects(kwargs):
 def test_thread_resolution():
     assert dc.ExperimentConfig(thread_count=3).resolved_threads() == 3
     assert dc.ExperimentConfig(thread_count="auto").resolved_threads() >= 1
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Replace ProcessPoolExecutor with a recorder that runs jobs inline; yields the pools made."""
+    made = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+            self.chunksizes = []
+            made.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize=1):
+            self.chunksizes.append(chunksize)
+            return map(fn, jobs)
+
+    monkeypatch.setattr(benchmark, "ProcessPoolExecutor", RecordingPool)
+    return made
+
+
+@pytest.mark.parametrize(
+    "threads, datasets, expected",
+    [(64, 5, 3), ("auto", 5, 3), (2, 5, 2), (64, 2, 2)],
+)
+def test_run_experiment_clamps_workers_and_hands_out_one_dataset_per_task(
+    monkeypatch, pools, threads, datasets, expected
+):
+    monkeypatch.setattr(benchmark, "_usable_cores", lambda: 3)
+    config = dc.ExperimentConfig(
+        dataset_count=datasets, objects=6, variables=2, algorithms=("pddp",), thread_count=threads
+    )
+    assert len(dc.run_experiment(config).cells) == datasets
+    (pool,) = pools
+    assert pool.max_workers == expected
+    assert pool.chunksizes == [1]
+
+
+def test_run_experiment_runs_inline_on_one_usable_core(monkeypatch, pools):
+    monkeypatch.setattr(benchmark, "_usable_cores", lambda: 1)
+    config = dc.ExperimentConfig(
+        dataset_count=3, objects=6, variables=2, algorithms=("pddp",), thread_count=8
+    )
+    assert len(dc.run_experiment(config).cells) == 3
+    assert pools == []
 
 
 def test_dataset_row_records_failed_cells_as_missing():

@@ -1,6 +1,8 @@
 import json
+import re
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 import divclust.cli as cli
@@ -254,3 +256,28 @@ def test_unexpected_failure_exits_with_1(tree_json, tmp_path, capsys, monkeypatc
     rc = cli.main(["plot", "--tree", str(tree_json), "--out", str(tmp_path / "x.svg")])
     assert rc == 1
     assert capsys.readouterr().err == "internal error: wires crossed\n"
+
+
+def test_caterpillar_deeper_than_the_recursion_limit(tmp_path):
+    # d(a, b) = max(rank[a], rank[b]) is an ultrametric whose only tree is a
+    # chain of depth n - 1, deeper than a recursive writer may go
+    n = 1100
+    rank = np.random.default_rng(5).permutation(n)
+    dist = np.maximum.outer(rank, rank)
+    np.fill_diagonal(dist, 0)
+    src = tmp_path / "caterpillar.csv"
+    src.write_text("\n".join(",".join(map(str, row)) for row in dist) + "\n")
+    tree, newick, svg = (tmp_path / name for name in ("tree.json", "tree.nwk", "tree.svg"))
+    argv = ["cluster", str(src), "--algo", "average-agglomerative", "--out", str(tree)]
+    assert cli.main(argv + ["--newick", str(newick)]) == 0
+    assert cli.main(["plot", "--tree", str(tree), "--out", str(svg)]) == 0
+
+    text = newick.read_text()
+    assert text.endswith(";\n")
+    assert text.count("(") == text.count(")") == n - 1
+    labels = re.findall(r"o(\d+)", text)
+    assert sorted(map(int, labels)) == list(range(1, n + 1))
+    root = ET.fromstring(svg.read_text())
+    ns = "{http://www.w3.org/2000/svg}"
+    assert len(root.findall(f".//{ns}path")) == n - 1
+    assert len(root.findall(f".//{ns}text")) == n

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import divclust as dc
-from conftest import random_matrix
+from conftest import random_matrix, random_points
 from helpers import LINE4_VALUES, cross_pairs, diam, mean_within, square_from_condensed
 
 
@@ -67,6 +67,32 @@ def test_euclidean_3_4_5_triangle():
     assert m.value(0, 1) == 3.0
     assert m.value(1, 2) == 4.0
     assert m.value(0, 2) == 5.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_euclidean_survives_squares_that_overflow():
+    pts = random_points(61, 12, 4)
+    plain = dc.euclidean_from_data(pts)
+    scaled = dc.euclidean_from_data(pts * 1e160)
+    assert np.allclose(scaled.condensed, plain.condensed * 1e160, rtol=1e-12, atol=0.0)
+    for algorithm in ("average-agglomerative", "two-seeds:average"):
+        want = dc.build_hierarchy(plain, algorithm)
+        got = dc.build_hierarchy(scaled, algorithm)
+        assert [node.members for node in got.nodes] == [node.members for node in want.nodes]
+        for g, w in zip(got.nodes, want.nodes):
+            assert g.level == pytest.approx(w.level * 1e160, rel=1e-8, abs=0.0)
+
+
+def test_euclidean_keeps_representable_data_bit_for_bit():
+    pts = random_points(62, 9, 3) * 1e150
+    ii, jj = np.triu_indices(9, 1)
+    direct = np.sqrt(((pts[ii] - pts[jj]) ** 2).sum(axis=1))
+    assert dc.euclidean_from_data(pts).condensed.tobytes() == direct.tobytes()
+
+
+def test_euclidean_rejects_distances_beyond_the_float_range():
+    with pytest.raises(dc.NonFiniteEntryError):
+        dc.euclidean_from_data([[-1.5e308], [1.5e308]])
 
 
 def test_line4_packed_values(line4):

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import divclust as dc
 from conftest import random_matrix
+from divclust.criteria import _score_sets
 from helpers import CRITERIA, score, square_from_condensed, two_seeds_best
 
 ALL_ZERO_3 = dc.DissimilarityMatrix(3, [0.0, 0.0, 0.0])
@@ -52,6 +55,109 @@ def test_two_seeds_matches_exhaustive_enumeration(seed):
     assert score(token, s, list(b.left), list(b.right)) == best_score
     got = dc.score_bipartition(dc.Criterion(token), m, b)
     assert got == pytest.approx(best_score, rel=1e-9)
+
+
+def exact_loop_split(m, members, criterion):
+    """Reference search: _score_sets on every seed pair in order, first strict max."""
+    ms = sorted(members)
+    sub = m.square()[np.ix_(ms, ms)]
+    squared = sub**2 if criterion is dc.Criterion.WARD_ORIGINAL else None
+    best, best_mask = -np.inf, None
+    for a in range(len(ms)):
+        for b in range(a + 1, len(ms)):
+            mask = sub[:, a] <= sub[:, b]
+            mask[a], mask[b] = True, False
+            left, right = np.flatnonzero(mask), np.flatnonzero(~mask)
+            value = _score_sets(criterion, sub, left, right, squared)
+            if value > best:
+                best, best_mask = value, mask
+    idx = np.asarray(ms)
+    return dc.Bipartition(tuple(idx[best_mask]), tuple(idx[~best_mask]))
+
+
+@st.composite
+def tie_heavy_matrices(draw):
+    """Small-integer distances, so that distinct partitions tie exactly; every
+    third draw is a zero-block matrix, where the Dunn ratios hit their sentinel."""
+    k = draw(st.integers(2, 9))
+    pairs = k * (k - 1) // 2
+    if draw(st.integers(0, 2)) == 0:
+        labels = draw(st.lists(st.integers(0, 2), min_size=k, max_size=k))
+        across = draw(st.lists(st.integers(1, 3), min_size=pairs, max_size=pairs))
+        first, second = np.triu_indices(k, 1)
+        values = [
+            0 if labels[i] == labels[j] else v for i, j, v in zip(first, second, across)
+        ]
+    else:
+        values = draw(st.lists(st.integers(0, 3), min_size=pairs, max_size=pairs))
+    return k, [float(v) for v in values]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(tie_heavy_matrices())
+def test_two_seeds_matches_the_oracle_on_tie_heavy_input(case):
+    k, values = case
+    m = dc.DissimilarityMatrix(k, values)
+    s = square_from_condensed(k, values)
+    for token in CRITERIA:
+        criterion = dc.Criterion(token)
+        b = dc.two_seeds_split(m, range(k), criterion)
+        best_score, _ = two_seeds_best(s, range(k), token)
+        assert score(token, s, list(b.left), list(b.right)) == best_score
+        assert b == exact_loop_split(m, range(k), criterion)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(tie_heavy_matrices(), st.sampled_from([0.1, 0.7, 1.0 / 3.0]))
+def test_two_seeds_matches_exact_scoring_when_ties_round_apart(case, unit):
+    # Non-dyadic units make partitions that tie in exact arithmetic differ
+    # in their last bits, by an amount that depends on summation order: the
+    # choice must still be the one exact scoring of every candidate makes.
+    k, values = case
+    m = dc.DissimilarityMatrix(k, [v * unit for v in values])
+    for criterion in dc.Criterion:
+        got = dc.two_seeds_split(m, range(k), criterion)
+        assert got == exact_loop_split(m, range(k), criterion)
+
+
+@pytest.mark.parametrize("scale", [1e-321, 1e-310, 1e-200, 1e120])
+def test_two_seeds_matches_exact_scoring_at_extreme_magnitudes(scale):
+    for seed in range(4):
+        n = 6 + 3 * seed
+        _, values = random_matrix(7000 + seed, n)
+        m = dc.DissimilarityMatrix(n, np.asarray(values) * scale)
+        for criterion in dc.Criterion:
+            got = dc.two_seeds_split(m, range(n), criterion)
+            assert got == exact_loop_split(m, range(n), criterion)
+
+
+def test_two_seeds_rejects_scores_that_overflow_everywhere():
+    m = dc.DissimilarityMatrix(3, [1e200, 2e200, 3e200])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(dc.DivclustError, match="comparable ward1 score"):
+            dc.two_seeds_split(m, range(3), dc.Criterion.WARD_ORIGINAL)
+
+
+def test_two_seeds_large_cluster_matches_the_oracle():
+    rng = np.random.default_rng(7)
+    centres = rng.uniform(-6.0, 6.0, (5, 10))
+    pts = np.concatenate([c + rng.normal(size=(30, 10)) for c in centres])
+    m = dc.euclidean_from_data(pts)
+    s = m.square().tolist()
+    b = dc.two_seeds_split(m, range(150), dc.Criterion.AVERAGE_LINK)
+    _, best_sides = two_seeds_best(s, range(150), "average")
+    assert {frozenset(b.left), frozenset(b.right)} == set(best_sides)
+
+
+@pytest.mark.parametrize("token", CRITERIA)
+def test_two_seeds_matches_exact_scoring_of_every_candidate(token):
+    for seed in range(6):
+        n = 12 + 5 * seed
+        m, _ = random_matrix(6000 + seed, n)
+        members = range(1, n, 1 + seed % 2)
+        criterion = dc.Criterion(token)
+        got = dc.two_seeds_split(m, members, criterion)
+        assert got == exact_loop_split(m, members, criterion)
 
 
 def test_macnaughton_smith_line4(line4):
