@@ -145,7 +145,8 @@ def validate_matrix(raw: np.ndarray | Sequence[Sequence[float]]) -> Dissimilarit
 def euclidean_from_data(data: np.ndarray | Sequence[Sequence[float]]) -> DissimilarityMatrix:
     """Pairwise Euclidean distances from an objects-by-variables table.
 
-    Data whose squared differences overflow are measured relative to their
+    Data whose squared differences overflow, or underflow below the normal
+    float range for two differing rows, are measured relative to their
     largest absolute entry; only distances that themselves exceed the float
     range are rejected.
     """
@@ -161,9 +162,10 @@ def euclidean_from_data(data: np.ndarray | Sequence[Sequence[float]]) -> Dissimi
     ii, jj = np.triu_indices(arr.shape[0], 1)
     with np.errstate(over="ignore"):
         diff = arr[ii] - arr[jj]
-        dist = np.sqrt((diff * diff).sum(axis=1))
-    if not np.isfinite(dist).all():
-        # squares overflowed: measure in units of the largest magnitude instead
+        total = (diff * diff).sum(axis=1)
+    dist = np.sqrt(total)
+    if not np.isfinite(total).all() or (diff[total < np.finfo(float).tiny] != 0.0).any():
+        # squares overflowed or underflowed: measure in units of the largest magnitude instead
         scale = float(np.abs(arr).max())
         unit = arr / scale
         diff = unit[ii] - unit[jj]
@@ -172,36 +174,17 @@ def euclidean_from_data(data: np.ndarray | Sequence[Sequence[float]]) -> Dissimi
     return DissimilarityMatrix(arr.shape[0], dist)
 
 
-def within_values(square: np.ndarray, members: Sequence[int] | np.ndarray) -> np.ndarray:
-    """Pair values inside a cluster, ascending (i, j) order; empty for singletons."""
-    k = len(members)
-    if k == 1:
-        return np.empty(0)
-    sub = square[np.ix_(members, members)]
-    return sub[np.triu_indices(k, 1)]
-
-
-def cross_values(
-    square: np.ndarray,
-    left: Sequence[int] | np.ndarray,
-    right: Sequence[int] | np.ndarray,
-) -> np.ndarray:
-    """Between-cluster values as a len(left)-by-len(right) table."""
-    return square[np.ix_(left, right)]
-
-
 def diameter(square: np.ndarray, members: Sequence[int] | np.ndarray) -> float:
     """Largest within-cluster dissimilarity; zero for a singleton."""
-    if len(members) == 1:
-        return 0.0
-    return float(within_values(square, members).max())
+    return float(square[np.ix_(members, members)].max())
 
 
 def mean_within(square: np.ndarray, members: Sequence[int] | np.ndarray) -> float:
     """Mean over unordered within-cluster pairs; zero for a singleton."""
-    if len(members) == 1:
+    k = len(members)
+    if k == 1:
         return 0.0
-    return float(within_values(square, members).mean())
+    return float(square[np.ix_(members, members)][np.triu_indices(k, 1)].mean())
 
 
 @dataclass(frozen=True)
@@ -239,7 +222,7 @@ def cluster_stats(
     _check_range(bb, m.n)
     if set(aa) & set(bb):
         raise OverlappingSetsError("clusters share objects")
-    cross = cross_values(square, aa, bb)
+    cross = square[np.ix_(aa, bb)]
     return ClusterStats(
         diameter(square, aa),
         mean_within(square, aa),

@@ -12,7 +12,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import Bipartition, DissimilarityMatrix, cross_values, diameter, mean_within
+from .core import Bipartition, DissimilarityMatrix, diameter, mean_within
 from .errors import DivclustError, ObjectNotInBipartitionError
 
 
@@ -41,7 +41,7 @@ def _ward_form(table: np.ndarray, left, right) -> float:
     #   [ 2/(np*nq) * sum_cross  -  1/np^2 * sum_left  -  1/nq^2 * sum_right ]
     # where the within sums run over ordered pairs (each unordered pair twice).
     np_, nq = len(left), len(right)
-    cross = float(cross_values(table, left, right).sum())
+    cross = float(table[np.ix_(left, right)].sum())
     wp = float(table[np.ix_(left, left)].sum())
     wq = float(table[np.ix_(right, right)].sum())
     factor = np_ * nq / (np_ + nq)
@@ -88,11 +88,11 @@ def _score_sets(
 ) -> float:
     """Score one candidate split given ascending member index arrays."""
     if criterion is Criterion.SINGLE_LINK:
-        return float(cross_values(square, left, right).min())
+        return float(square[np.ix_(left, right)].min())
     if criterion is Criterion.COMPLETE_LINK:
         return -max(diameter(square, left), diameter(square, right))
     if criterion is Criterion.AVERAGE_LINK:
-        return float(cross_values(square, left, right).mean())
+        return float(square[np.ix_(left, right)].mean())
     if criterion is Criterion.WARD_ORIGINAL:
         if squared is None:
             squared = square**2
@@ -100,10 +100,10 @@ def _score_sets(
     if criterion is Criterion.WARD_SZEKELY_RIZZO:
         return _ward_form(square, left, right)
     if criterion is Criterion.DUNN:
-        num = float(cross_values(square, left, right).mean())
+        num = float(square[np.ix_(left, right)].mean())
         return _ratio(num, max(diameter(square, left), diameter(square, right)))
     if criterion is Criterion.DUNN_VARIANT:
-        num = float(cross_values(square, left, right).mean())
+        num = float(square[np.ix_(left, right)].mean())
         return _ratio(num, max(mean_within(square, left), mean_within(square, right)))
     if criterion is Criterion.SILHOUETTE:
         return float(silhouette_values(square, left, right).mean())

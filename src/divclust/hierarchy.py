@@ -13,12 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DissimilarityMatrix, condensed_size, diameter
-from .criteria import Criterion
+from .core import DissimilarityMatrix, condensed_size
 from .errors import DivclustError, NoPositiveEigenvalueError
-from .splitters import Splitter, parse_splitter, split_cluster, two_seeds_split
+from .splitters import Splitter, parse_splitter, split_mask
 
 AVERAGE_AGGLOMERATIVE = "average-agglomerative"
+# Splits the clusters that leave the principal-axis splitter no positive eigenvalue.
+_PDDP_FALLBACK = parse_splitter("two-seeds:average")
 
 
 @dataclass(frozen=True)
@@ -94,15 +95,15 @@ def _validate_dendrogram(n: int, nodes: tuple[DendrogramNode, ...]) -> None:
             raise DivclustError("bad child ids")
         child_ids.extend((ca, cb))
         left, right = nodes[ca], nodes[cb]
-        if tuple(sorted(left.members + right.members)) != node.members or (
-            set(left.members) & set(right.members)
-        ):
+        # the parent is strictly ascending, so equal children cannot overlap
+        if tuple(sorted(left.members + right.members)) != node.members:
             raise DivclustError("children must partition their parent")
         if left.level > node.level or right.level > node.level:
             raise DivclustError("child level exceeds parent level")
-    if len(child_ids) != len(set(child_ids)):
+    claimed = set(child_ids)
+    if len(child_ids) != len(claimed):
         raise DivclustError("a node is claimed by two parents")
-    roots = [node for node in nodes if node.id not in set(child_ids)]
+    roots = [node for node in nodes if node.id not in claimed]
     if len(roots) != 1 or roots[0].members != tuple(range(n)):
         raise DivclustError("dendrogram must have one root covering all objects")
 
@@ -111,29 +112,30 @@ def divisive_hierarchy(m: DissimilarityMatrix, splitter: Splitter) -> Dendrogram
     """Top-down hierarchy: split every non-singleton cluster, FIFO order.
 
     Node ids follow creation order with the root at 0; each split appends
-    the canonical-left child first. Every node's level is its member set's
-    diameter, which makes levels monotone along all paths by construction.
-    If a degenerate cluster leaves the principal-axis splitter without a
-    positive eigenvalue, that cluster falls back to the two-seeds average
-    split.
+    the canonical-left child first. Each cluster's table is gathered once:
+    it gives the split and the node's level, the table's max, which is the
+    member set's diameter and so makes levels monotone along all paths by
+    construction. If a degenerate cluster leaves the principal-axis splitter
+    without a positive eigenvalue, that cluster falls back to the two-seeds
+    average split.
     """
     square = m.square()
     members_of = [tuple(range(m.n))]
-    levels = [diameter(square, members_of[0])]
-    children: list[tuple[int, int] | None] = [None]
+    levels = [0.0] * (2 * m.n - 1)
+    children: list[tuple[int, int] | None] = [None] * (2 * m.n - 1)
     queue: deque[int] = deque([0])
     while queue:
         nid = queue.popleft()
-        cluster = members_of[nid]
+        cluster = np.asarray(members_of[nid])
+        sub = square[np.ix_(cluster, cluster)]
+        levels[nid] = float(sub.max())
         try:
-            bp = split_cluster(m, cluster, splitter)
+            mask = split_mask(sub, splitter)
         except NoPositiveEigenvalueError:
-            bp = two_seeds_split(m, cluster, Criterion.AVERAGE_LINK)
-        for side in (bp.left, bp.right):
-            members_of.append(side)
-            levels.append(diameter(square, side) if len(side) > 1 else 0.0)
-            children.append(None)
-            if len(side) > 1:
+            mask = split_mask(sub, _PDDP_FALLBACK)
+        for side in (cluster[mask], cluster[~mask]):
+            members_of.append(tuple(side.tolist()))
+            if side.size > 1:
                 queue.append(len(members_of) - 1)
         children[nid] = (len(members_of) - 2, len(members_of) - 1)
     nodes = tuple(
@@ -161,7 +163,7 @@ def agglomerative_average_link(m: DissimilarityMatrix) -> Dendrogram:
     while len(members) > 1:
         k = len(members)
         d = cross / np.outer(sizes, sizes)
-        d[np.tril_indices(k)] = np.inf
+        d[np.tri(k, dtype=bool)] = np.inf
         flat = int(np.argmin(d))  # first minimum in row-major = lexicographic order
         p, q = divmod(flat, k)
         level = float(d[p, q])

@@ -70,19 +70,14 @@ def parse_splitter(token: str) -> Splitter:
     raise DivclustError(f"unknown splitter: {token!r}")
 
 
-def _cluster_submatrix(m: DissimilarityMatrix, members) -> tuple[tuple[int, ...], np.ndarray]:
+def _cluster_submatrix(m: DissimilarityMatrix, members) -> tuple[np.ndarray, np.ndarray]:
     ms = object_set(members)
     if ms[0] < 0 or ms[-1] >= m.n:
         raise IndexError(f"cluster indices out of range for n={m.n}")
     if len(ms) < 2:
         raise ClusterTooSmallError("cannot split a singleton")
     idx = np.asarray(ms, dtype=int)
-    return ms, m.square()[np.ix_(idx, idx)]
-
-
-def _to_bipartition(members: tuple[int, ...], left_local, right_local) -> Bipartition:
-    idx = np.asarray(members, dtype=int)
-    return Bipartition(tuple(idx[left_local]), tuple(idx[right_local]))
+    return idx, m.square()[np.ix_(idx, idx)]
 
 
 def _seed_pair_masks(sub: np.ndarray, seeds_a: np.ndarray, seeds_b: np.ndarray) -> np.ndarray:
@@ -120,8 +115,12 @@ def two_seeds_split(
     the error bands of the screened maximum are rescored exactly, so the
     choice is the one exact scoring of every candidate would make.
     """
-    ms, sub = _cluster_submatrix(m, members)
-    k = len(ms)
+    return split_cluster(m, members, Splitter(TWO_SEEDS, criterion))
+
+
+def _two_seeds_mask(sub: np.ndarray, criterion: Criterion) -> np.ndarray:
+    """Winning two-seeds candidate of a cluster's table, as seed i's side mask."""
+    k = len(sub)
     squared = sub**2 if criterion is Criterion.WARD_ORIGINAL else None
     # every (a, b) with a < b, in lexicographic order
     pairs = np.nonzero(~np.tri(k, dtype=bool))
@@ -149,8 +148,7 @@ def two_seeds_split(
                 best, winner = score, c
         if winner is None:
             raise DivclustError(f"no candidate split has a comparable {criterion.value} score")
-    mask = np.unpackbits(packed[winner], count=k).view(bool)
-    return _to_bipartition(ms, np.flatnonzero(mask), np.flatnonzero(~mask))
+    return np.unpackbits(packed[winner], count=k).view(bool)
 
 
 def macnaughton_smith_split(m: DissimilarityMatrix, members) -> Bipartition:
@@ -163,25 +161,24 @@ def macnaughton_smith_split(m: DissimilarityMatrix, members) -> Bipartition:
     the smallest index, and peeling stops when no gap is positive or the
     remainder would drop below two members.
     """
-    ms, sub = _cluster_submatrix(m, members)
-    k = len(ms)
-    seed = int(np.argmax(sub.sum(axis=1) / (k - 1)))
-    rest = [x for x in range(k) if x != seed]
-    splinter = [seed]
-    while len(rest) >= 2:
-        rest_idx = np.asarray(rest, dtype=int)
-        spl_idx = np.asarray(splinter, dtype=int)
-        within_rest = sub[np.ix_(rest_idx, rest_idx)]
-        to_rest = within_rest.sum(axis=1) / (len(rest) - 1)
-        to_splinter = sub[np.ix_(rest_idx, spl_idx)].sum(axis=1) / len(splinter)
+    return split_cluster(m, members, Splitter(MACNAUGHTON_SMITH))
+
+
+def _macnaughton_smith_mask(sub: np.ndarray) -> np.ndarray:
+    """Splinter-group mask of a cluster's table."""
+    k = len(sub)
+    mask = np.zeros(k, dtype=bool)
+    mask[int(np.argmax(sub.sum(axis=1) / (k - 1)))] = True
+    while k - mask.sum() >= 2:
+        rest, splinter = np.flatnonzero(~mask), np.flatnonzero(mask)
+        to_rest = sub[np.ix_(rest, rest)].sum(axis=1) / (rest.size - 1)
+        to_splinter = sub[np.ix_(rest, splinter)].sum(axis=1) / splinter.size
         gap = to_rest - to_splinter
         j = int(np.argmax(gap))
         if not gap[j] > 0.0:
             break
-        mover = rest.pop(j)
-        splinter.append(mover)
-        splinter.sort()
-    return _to_bipartition(ms, np.asarray(rest, dtype=int), np.asarray(splinter, dtype=int))
+        mask[rest[j]] = True
+    return mask
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,8 +201,11 @@ def pcoa_first_axis(m: DissimilarityMatrix, members) -> PcoaAxis:
     Raises NoPositiveEigenvalueError when the dominant eigenvalue does not
     exceed ``1e-12`` times the Gram trace, as happens for all-tied clusters.
     """
-    ms, sub = _cluster_submatrix(m, members)
-    k = len(ms)
+    return _pcoa_axis(_cluster_submatrix(m, members)[1])
+
+
+def _pcoa_axis(sub: np.ndarray) -> PcoaAxis:
+    k = len(sub)
     d2 = sub**2
     row_mean = d2.mean(axis=1)
     gram = -0.5 * (d2 - row_mean[:, None] - row_mean[None, :] + d2.mean())
@@ -257,10 +257,13 @@ def pddp_split(m: DissimilarityMatrix, members) -> Bipartition:
     one member behind; passes stop when nothing moves or after Card(C)
     passes. Propagates NoPositiveEigenvalueError for degenerate clusters.
     """
-    ms, sub = _cluster_submatrix(m, members)
-    k = len(ms)
-    axis = pcoa_first_axis(m, members)
-    left_mask = _sides_from_coords(np.asarray(axis.coords))
+    return split_cluster(m, members, Splitter(PDDP))
+
+
+def _pddp_mask(sub: np.ndarray) -> np.ndarray:
+    """Refined principal-axis mask of a cluster's table, negative side True."""
+    k = len(sub)
+    left_mask = _sides_from_coords(_pcoa_axis(sub).coords)
     for _ in range(k):
         moved = False
         for x in range(k):
@@ -276,13 +279,22 @@ def pddp_split(m: DissimilarityMatrix, members) -> Bipartition:
                 moved = True
         if not moved:
             break
-    return _to_bipartition(ms, np.flatnonzero(left_mask), np.flatnonzero(~left_mask))
+    return left_mask
+
+
+def split_mask(sub: np.ndarray, splitter: Splitter) -> np.ndarray:
+    """One splitter on a cluster's k-by-k table: True marks the side holding its first member."""
+    if splitter.kind == TWO_SEEDS:
+        mask = _two_seeds_mask(sub, splitter.criterion)
+    elif splitter.kind == MACNAUGHTON_SMITH:
+        mask = _macnaughton_smith_mask(sub)
+    else:
+        mask = _pddp_mask(sub)
+    return mask if mask[0] else ~mask
 
 
 def split_cluster(m: DissimilarityMatrix, members, splitter: Splitter) -> Bipartition:
     """Apply one splitter to one cluster."""
-    if splitter.kind == TWO_SEEDS:
-        return two_seeds_split(m, members, splitter.criterion)
-    if splitter.kind == MACNAUGHTON_SMITH:
-        return macnaughton_smith_split(m, members)
-    return pddp_split(m, members)
+    idx, sub = _cluster_submatrix(m, members)
+    mask = split_mask(sub, splitter)
+    return Bipartition(tuple(idx[mask]), tuple(idx[~mask]))

@@ -83,6 +83,19 @@ def test_euclidean_survives_squares_that_overflow():
             assert g.level == pytest.approx(w.level * 1e160, rel=1e-8, abs=0.0)
 
 
+def test_euclidean_survives_squares_that_underflow():
+    pts = random_points(61, 12, 4)
+    plain = dc.euclidean_from_data(pts)
+    scaled = dc.euclidean_from_data(pts * 1e-170)
+    assert np.allclose(scaled.condensed, plain.condensed * 1e-170, rtol=1e-12, atol=0.0)
+    for algorithm in ("average-agglomerative", "two-seeds:average"):
+        want = dc.build_hierarchy(plain, algorithm)
+        got = dc.build_hierarchy(scaled, algorithm)
+        assert [node.members for node in got.nodes] == [node.members for node in want.nodes]
+        for g, w in zip(got.nodes, want.nodes):
+            assert g.level == pytest.approx(w.level * 1e-170, rel=1e-8, abs=0.0)
+
+
 def test_euclidean_keeps_representable_data_bit_for_bit():
     pts = random_points(62, 9, 3) * 1e150
     ii, jj = np.triu_indices(9, 1)

@@ -6,6 +6,11 @@ import pytest
 import divclust as dc
 from conftest import random_matrix
 
+DIVISIVE_SPLITTERS = [dc.parse_splitter(f"two-seeds:{c.value}") for c in dc.Criterion] + [
+    dc.parse_splitter("pddp"),
+    dc.parse_splitter("macnaughton-smith"),
+]
+
 ALGORITHMS = [
     "two-seeds:complete",
     "two-seeds:silhouette",
@@ -68,14 +73,34 @@ def test_every_algorithm_builds_a_complete_binary_tree(token):
                     assert tree.nodes[child].level <= node.level
 
 
-def test_divisive_levels_are_diameters(line4):
-    m, _ = random_matrix(77, 9)
-    tree = dc.build_hierarchy(m, "two-seeds:ward2")
-    sq = m.square()
-    for node in tree.nodes:
-        ms = list(node.members)
-        expected = float(sq[np.ix_(ms, ms)].max()) if len(ms) > 1 else 0.0
-        assert node.level == expected
+def zero_block_matrix() -> dc.DissimilarityMatrix:
+    """Small integers with an all-zero block over objects 0-3: tied candidates,
+    and clusters that leave the principal axis no positive eigenvalue, one of
+    which the two-seeds criteria split in different ways."""
+    rng = np.random.default_rng(15)
+    table = np.triu(rng.integers(1, 4, (9, 9)), 1)
+    table[:4, :4] = 0
+    return dc.validate_matrix(table + table.T)
+
+
+@pytest.mark.parametrize("token", [s.token for s in DIVISIVE_SPLITTERS])
+def test_divisive_levels_are_diameters(token):
+    splitter = dc.parse_splitter(token)
+    fallback = dc.parse_splitter("two-seeds:average")
+    for m in (random_matrix(77, 9)[0], zero_block_matrix()):
+        tree = dc.build_hierarchy(m, token)
+        sq = m.square()
+        for node in tree.nodes:
+            ms = list(node.members)
+            expected = float(sq[np.ix_(ms, ms)].max()) if len(ms) > 1 else 0.0
+            assert node.level == expected
+            if node.children is None:
+                continue
+            try:
+                split = dc.split_cluster(m, node.members, splitter)
+            except dc.NoPositiveEigenvalueError:
+                split = dc.split_cluster(m, node.members, fallback)
+            assert (split.left, split.right) == tuple(tree.nodes[c].members for c in node.children)
 
 
 def test_agglomerative_line4_structure(line4):
