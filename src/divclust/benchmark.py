@@ -19,8 +19,7 @@ import numpy as np
 from .core import euclidean_from_data
 from .errors import AllCellsMissingError, DivclustError, InvalidConfigError
 from .evaluation import concordance, goodman_kruskal
-from .hierarchy import AVERAGE_AGGLOMERATIVE, build_hierarchy, cophenetic
-from .splitters import parse_splitter
+from .hierarchy import AVERAGE_AGGLOMERATIVE, _parse_algorithm, build_hierarchy, cophenetic
 
 DEFAULT_ALGORITHMS: tuple[str, ...] = (
     "two-seeds:single",
@@ -79,10 +78,8 @@ class ExperimentConfig:
         if len(set(self.algorithms)) != len(self.algorithms):
             raise InvalidConfigError("algorithm roster has duplicates")
         for token in self.algorithms:
-            if token == AVERAGE_AGGLOMERATIVE:
-                continue
             try:
-                parse_splitter(token)
+                _parse_algorithm(token)
             except DivclustError:
                 raise InvalidConfigError(f"unknown algorithm: {token!r}") from None
         if self.thread_count != "auto" and (

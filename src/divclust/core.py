@@ -145,9 +145,10 @@ def validate_matrix(raw: np.ndarray | Sequence[Sequence[float]]) -> Dissimilarit
 def euclidean_from_data(data: np.ndarray | Sequence[Sequence[float]]) -> DissimilarityMatrix:
     """Pairwise Euclidean distances from an objects-by-variables table.
 
-    Data whose squared differences overflow, or underflow below the normal
-    float range for two differing rows, are measured relative to their
-    largest absolute entry; only distances that themselves exceed the float
+    A pair whose plain sum of squared differences overflows, or underflows
+    below the normal float range while the rows differ, is measured in units
+    of its own largest absolute difference; every other distance is the
+    plain one, bit for bit. Only distances that themselves exceed the float
     range are rejected.
     """
     arr = np.asarray(data, dtype=float)
@@ -164,13 +165,17 @@ def euclidean_from_data(data: np.ndarray | Sequence[Sequence[float]]) -> Dissimi
         diff = arr[ii] - arr[jj]
         total = (diff * diff).sum(axis=1)
     dist = np.sqrt(total)
-    if not np.isfinite(total).all() or (diff[total < np.finfo(float).tiny] != 0.0).any():
-        # squares overflowed or underflowed: measure in units of the largest magnitude instead
-        scale = float(np.abs(arr).max())
-        unit = arr / scale
-        diff = unit[ii] - unit[jj]
+    redo = ~(np.isfinite(total) & (total >= np.finfo(float).tiny)) & (diff != 0.0).any(axis=1)
+    if redo.any():
+        a, b = arr[ii[redo]], arr[jj[redo]]
+        diff = diff[redo]
+        # a difference that overflows is taken between halves, which cannot
+        halved = ~np.isfinite(diff).all(axis=1)
+        diff[halved] = a[halved] * 0.5 - b[halved] * 0.5
+        scale = np.abs(diff).max(axis=1)
+        unit = diff / scale[:, None]
         with np.errstate(over="ignore"):
-            dist = scale * np.sqrt((diff * diff).sum(axis=1))
+            dist[redo] = np.where(halved, 2.0, 1.0) * scale * np.sqrt((unit * unit).sum(axis=1))
     return DissimilarityMatrix(arr.shape[0], dist)
 
 

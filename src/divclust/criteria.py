@@ -112,11 +112,11 @@ def _score_sets(
 
 # Criteria whose screened score is _score_sets's value itself: a min or max
 # of table entries, which no regrouping can round differently.
-EXACT_SCREENS = frozenset({Criterion.SINGLE_LINK, Criterion.COMPLETE_LINK})
+_EXACT_SCREENS = frozenset({Criterion.SINGLE_LINK, Criterion.COMPLETE_LINK})
 _PAIR_SCREENS = frozenset({Criterion.SINGLE_LINK, Criterion.COMPLETE_LINK, Criterion.DUNN})
 
 # Scratch memory for one chunk of candidates.
-CHUNK_BYTES = 2 << 20
+_CHUNK_BYTES = 2 << 20
 # Multiply-adds in one chunk's table product. OpenBLAS computes products up
 # to 2^18 on the calling thread and larger ones on its thread pool, whose
 # threads only contend for the cores when a process pool already fills them:
@@ -136,7 +136,8 @@ class CandidateScreen:
     row and column indices of its upper triangle. For a C-by-k
     boolean array of left-side masks, :meth:`score` returns screened scores
     and bands such that ``_score_sets`` on candidate c yields a value within
-    ``bands[c]`` of ``scores[c]``.
+    ``bands[c]`` of ``scores[c]``; a zero band means ``scores[c]`` is that
+    value exactly.
 
     Additive criteria come from the row products ``masks @ table`` and
     ``~masks @ table``: the cross sum, both within sums and every object's
@@ -163,7 +164,7 @@ class CandidateScreen:
         bounded = positive.size == 0 or (
             _SAFE_ENTRIES[0] <= positive.min() and positive.max() <= _SAFE_ENTRIES[1]
         )
-        self.bounded = bounded or criterion in EXACT_SCREENS
+        self.bounded = bounded or criterion in _EXACT_SCREENS
         self.band = 8.0 * (k * k + 2 * k + 16) * np.finfo(float).eps
         scratch = 80 * k
         if criterion in _PAIR_SCREENS:
@@ -174,8 +175,8 @@ class CandidateScreen:
                 order = order[::-1]
             self.pairs = (first[order], second[order], values[order])
             scratch += 3 * first.size
-        self.chunk = CHUNK_BYTES // scratch
-        if criterion not in EXACT_SCREENS:
+        self.chunk = _CHUNK_BYTES // scratch
+        if criterion not in _EXACT_SCREENS:
             self.chunk = min(self.chunk, _CHUNK_PRODUCT // (k * k))
         self.chunk = max(1, self.chunk)
 

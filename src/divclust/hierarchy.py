@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,26 +47,21 @@ class Dendrogram:
 
     n: int
     nodes: tuple[DendrogramNode, ...]
+    root_id: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _validate_dendrogram(self.n, self.nodes)
+        object.__setattr__(self, "root_id", _validate_dendrogram(self.n, self.nodes))
 
     @property
     def root(self) -> DendrogramNode:
-        child_ids = set()
-        for node in self.nodes:
-            if node.children is not None:
-                child_ids.update(node.children)
-        for node in self.nodes:
-            if node.id not in child_ids:
-                return node
-        raise DivclustError("dendrogram has no root")  # unreachable after validation
+        return self.nodes[self.root_id]
 
     def leaves(self) -> tuple[DendrogramNode, ...]:
         return tuple(node for node in self.nodes if node.is_leaf)
 
 
-def _validate_dendrogram(n: int, nodes: tuple[DendrogramNode, ...]) -> None:
+def _validate_dendrogram(n: int, nodes: tuple[DendrogramNode, ...]) -> int:
+    """Check every structural invariant; return the root's id."""
     if n < 2:
         raise DivclustError("a dendrogram needs at least 2 objects")
     if len(nodes) != 2 * n - 1:
@@ -106,6 +101,7 @@ def _validate_dendrogram(n: int, nodes: tuple[DendrogramNode, ...]) -> None:
     roots = [node for node in nodes if node.id not in claimed]
     if len(roots) != 1 or roots[0].members != tuple(range(n)):
         raise DivclustError("dendrogram must have one root covering all objects")
+    return roots[0].id
 
 
 def divisive_hierarchy(m: DissimilarityMatrix, splitter: Splitter) -> Dendrogram:
@@ -181,18 +177,25 @@ def agglomerative_average_link(m: DissimilarityMatrix) -> Dendrogram:
     return Dendrogram(n, tuple(nodes))
 
 
+def _parse_algorithm(token: str) -> Splitter | None:
+    """The divisive splitter an algorithm token names; None for ``average-agglomerative``."""
+    if token == AVERAGE_AGGLOMERATIVE:
+        return None
+    try:
+        return parse_splitter(token)
+    except DivclustError:
+        raise DivclustError(f"unknown algorithm: {token!r}") from None
+
+
 def build_hierarchy(m: DissimilarityMatrix, algorithm: str) -> Dendrogram:
     """Build a hierarchy from an algorithm token.
 
     Tokens: ``two-seeds:<criterion>``, ``macnaughton-smith``, ``pddp`` or
     ``average-agglomerative``.
     """
-    if algorithm == AVERAGE_AGGLOMERATIVE:
+    splitter = _parse_algorithm(algorithm)
+    if splitter is None:
         return agglomerative_average_link(m)
-    try:
-        splitter = parse_splitter(algorithm)
-    except DivclustError:
-        raise DivclustError(f"unknown algorithm: {algorithm!r}") from None
     return divisive_hierarchy(m, splitter)
 
 

@@ -19,14 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Bipartition, DissimilarityMatrix, object_set
-from .criteria import (
-    CHUNK_BYTES,
-    EXACT_SCREENS,
-    CandidateScreen,
-    Criterion,
-    _score_sets,
-    parse_criterion,
-)
+from .criteria import CandidateScreen, Criterion, _score_sets, parse_criterion
 from .errors import ClusterTooSmallError, DivclustError, NoPositiveEigenvalueError
 
 POWER_ITERATION_TOL = 1e-10
@@ -80,24 +73,14 @@ def _cluster_submatrix(m: DissimilarityMatrix, members) -> tuple[np.ndarray, np.
     return idx, m.square()[np.ix_(idx, idx)]
 
 
-def _seed_pair_masks(sub: np.ndarray, seeds_a: np.ndarray, seeds_b: np.ndarray) -> np.ndarray:
-    """Bit-packed left-side masks of every seed pair, first occurrences only, in pair order."""
-    k = len(sub)
-    step = max(1, CHUNK_BYTES // (16 * k))
-    packed = []
-    for start in range(0, seeds_a.size, step):
-        a = seeds_a[start : start + step]
-        b = seeds_b[start : start + step]
-        # row x of the symmetric table is its column x: distances to seed x
-        mask = sub[a] <= sub[b]
-        rows = np.arange(a.size)
-        mask[rows, a] = True
-        mask[rows, b] = False
-        packed.append(np.packbits(mask, axis=1))
-    packed = np.concatenate(packed)
-    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-    _, first = np.unique(keys, return_index=True)
-    return packed[np.sort(first)]
+def _pair_masks(sub: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Left-side masks of the seed pairs (a, b): nearer seed, ties to seed a, seeds forced."""
+    # row x of the symmetric table is its column x: distances to seed x
+    mask = sub[a] <= sub[b]
+    rows = np.arange(a.size)
+    mask[rows, a] = True
+    mask[rows, b] = False
+    return mask
 
 
 def two_seeds_split(
@@ -110,10 +93,12 @@ def two_seeds_split(
     are scored with ``criterion`` and the first strict maximum over the
     lexicographic pair enumeration wins.
 
-    Candidates are built and screened in chunks of bounded scratch memory
-    (:class:`CandidateScreen`); only those whose screened score lies within
-    the error bands of the screened maximum are rescored exactly, so the
-    choice is the one exact scoring of every candidate would make.
+    Candidates are screened as they are built, one chunk of seed pairs at a
+    time in bounded scratch memory (:class:`CandidateScreen`). Only those
+    whose screened score lies within the error bands of the screened maximum
+    are rescored exactly, each distinct mask once, and none when all their
+    bands are zero (exact scores); so the choice is the one exact scoring of
+    every candidate would make.
     """
     return split_cluster(m, members, Splitter(TWO_SEEDS, criterion))
 
@@ -123,32 +108,40 @@ def _two_seeds_mask(sub: np.ndarray, criterion: Criterion) -> np.ndarray:
     k = len(sub)
     squared = sub**2 if criterion is Criterion.WARD_ORIGINAL else None
     # every (a, b) with a < b, in lexicographic order
-    pairs = np.nonzero(~np.tri(k, dtype=bool))
-    packed = _seed_pair_masks(sub, *pairs)
-    screen = CandidateScreen(criterion, sub if squared is None else squared, pairs)
-    screened = [
-        screen.score(np.unpackbits(chunk, axis=1, count=k).view(bool))
-        for chunk in np.split(packed, range(screen.chunk, len(packed), screen.chunk))
-    ]
+    a, b = np.nonzero(~np.tri(k, dtype=bool))
+    screen = CandidateScreen(criterion, sub if squared is None else squared, (a, b))
+
+    def chunks(which):
+        for start in range(0, which.size, screen.chunk):
+            part = which[start : start + screen.chunk]
+            yield _pair_masks(sub, a[part], b[part])
+
+    screened = [screen.score(masks) for masks in chunks(np.arange(a.size))]
     scores = np.concatenate([chunk[0] for chunk in screened])
     bands = np.concatenate([chunk[1] for chunk in screened])
     # every candidate that can reach the best lower bound; a NaN anywhere
     # fails every comparison and keeps them all, as exact scoring would see them
     contenders = np.flatnonzero(~(scores + bands < np.max(scores - bands)))
-    if criterion in EXACT_SCREENS:
-        winner = contenders[0]
-    else:
-        best = -np.inf
-        winner = None
-        for c in contenders:
-            mask = np.unpackbits(packed[c], count=k).view(bool)
+    if not bands[contenders].any():
+        # a zero band is an exact score, so every contender scores the best
+        first = contenders[:1]
+        return _pair_masks(sub, a[first], b[first])[0]
+    best = -np.inf
+    winner = None
+    seen = set()
+    for masks in chunks(contenders):
+        for mask in masks:
+            key = mask.tobytes()
+            if key in seen:
+                continue
+            seen.add(key)
             left, right = np.flatnonzero(mask), np.flatnonzero(~mask)
             score = _score_sets(criterion, sub, left, right, squared)
             if score > best:
-                best, winner = score, c
-        if winner is None:
-            raise DivclustError(f"no candidate split has a comparable {criterion.value} score")
-    return np.unpackbits(packed[winner], count=k).view(bool)
+                best, winner = score, mask
+    if winner is None:
+        raise DivclustError(f"no candidate split has a comparable {criterion.value} score")
+    return winner
 
 
 def macnaughton_smith_split(m: DissimilarityMatrix, members) -> Bipartition:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from divclust import DissimilarityMatrix, euclidean_from_data
 
@@ -19,3 +20,21 @@ def random_matrix(seed: int, n: int, low: float = 0.05, high: float = 1.0):
 
 def random_points(seed: int, n: int, p: int) -> np.ndarray:
     return np.random.default_rng(seed).uniform(0.0, 1.0, (n, p))
+
+
+@st.composite
+def tie_heavy_matrices(draw, min_k: int = 2, max_k: int = 9):
+    """Small-integer distances, so that distinct partitions tie exactly; every
+    third draw is a zero-block matrix, where the Dunn ratios hit their sentinel."""
+    k = draw(st.integers(min_k, max_k))
+    pairs = k * (k - 1) // 2
+    if draw(st.integers(0, 2)) == 0:
+        labels = draw(st.lists(st.integers(0, 2), min_size=k, max_size=k))
+        across = draw(st.lists(st.integers(1, 3), min_size=pairs, max_size=pairs))
+        first, second = np.triu_indices(k, 1)
+        values = [
+            0 if labels[i] == labels[j] else v for i, j, v in zip(first, second, across)
+        ]
+    else:
+        values = draw(st.lists(st.integers(0, 3), min_size=pairs, max_size=pairs))
+    return k, [float(v) for v in values]

@@ -96,6 +96,15 @@ def test_euclidean_survives_squares_that_underflow():
             assert g.level == pytest.approx(w.level * 1e-170, rel=1e-8, abs=0.0)
 
 
+@pytest.mark.parametrize(
+    "rows", [[[0.0], [1e-170], [1.0]], [[0.0, 0.0], [1e-170, 0.0], [1.0, 3e-170]]]
+)
+def test_euclidean_keeps_tiny_distances_beside_large_ones(rows):
+    # one scale for the whole table cannot lift a difference far below its largest entry
+    m = dc.euclidean_from_data(rows)
+    assert m.value(0, 1) == pytest.approx(1e-170, rel=1e-15, abs=0.0)
+
+
 def test_euclidean_keeps_representable_data_bit_for_bit():
     pts = random_points(62, 9, 3) * 1e150
     ii, jj = np.triu_indices(9, 1)

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import divclust as dc
-from conftest import random_matrix
+from conftest import random_matrix, tie_heavy_matrices
 from helpers import concordance_counts, pearson
 
 
@@ -42,11 +44,14 @@ def test_concordance_is_symmetric_in_its_arguments():
     assert dc.concordance(m, u) == dc.concordance(u, m)
 
 
-@pytest.mark.parametrize("n", range(4, 10))
-def test_concordance_matches_quadruple_loop(n):
-    m, dvals = random_matrix(100 + n, n)
-    other, uvals = random_matrix(200 + n, n)
-    counts = dc.concordance(m, other)
+@pytest.mark.parametrize("n", range(3, 10))
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.data())
+def test_concordance_matches_quadruple_loop(n, data):
+    _, dvals = data.draw(tie_heavy_matrices(min_k=n, max_k=n))
+    _, uvals = data.draw(tie_heavy_matrices(min_k=n, max_k=n))
+    m = dc.DissimilarityMatrix(n, dvals)
+    counts = dc.concordance(m, dc.DissimilarityMatrix(n, uvals))
     assert (counts.s_plus, counts.s_minus) == concordance_counts(dvals, uvals)
     # tie-rich second vector: cophenetic values repeat per merge
     u = dc.cophenetic(dc.build_hierarchy(m, "macnaughton-smith"))

@@ -2,9 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import divclust as dc
-from conftest import random_matrix
+from conftest import random_matrix, tie_heavy_matrices
 
 DIVISIVE_SPLITTERS = [dc.parse_splitter(f"two-seeds:{c.value}") for c in dc.Criterion] + [
     dc.parse_splitter("pddp"),
@@ -177,9 +179,11 @@ def test_cophenetic_has_at_most_one_value_per_merge():
         assert len(set(u.condensed.tolist())) <= 11
 
 
-def test_json_round_trip_is_lossless_and_idempotent():
-    m, _ = random_matrix(9000, 7)
-    tree = dc.build_hierarchy(m, "macnaughton-smith")
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(tie_heavy_matrices(), st.sampled_from(dc.DEFAULT_ALGORITHMS))
+def test_json_round_trip_is_lossless_and_idempotent(case, token):
+    k, values = case
+    tree = dc.build_hierarchy(dc.DissimilarityMatrix(k, values), token)
     text = dc.tree_to_json(tree)
     back = dc.tree_from_json(text)
     assert back.n == tree.n

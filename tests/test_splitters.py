@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import divclust as dc
-from conftest import random_matrix
+from conftest import random_matrix, tie_heavy_matrices
 from divclust.criteria import _score_sets
 from helpers import CRITERIA, score, square_from_condensed, two_seeds_best
 
@@ -75,24 +75,6 @@ def exact_loop_split(m, members, criterion):
     return dc.Bipartition(tuple(idx[best_mask]), tuple(idx[~best_mask]))
 
 
-@st.composite
-def tie_heavy_matrices(draw):
-    """Small-integer distances, so that distinct partitions tie exactly; every
-    third draw is a zero-block matrix, where the Dunn ratios hit their sentinel."""
-    k = draw(st.integers(2, 9))
-    pairs = k * (k - 1) // 2
-    if draw(st.integers(0, 2)) == 0:
-        labels = draw(st.lists(st.integers(0, 2), min_size=k, max_size=k))
-        across = draw(st.lists(st.integers(1, 3), min_size=pairs, max_size=pairs))
-        first, second = np.triu_indices(k, 1)
-        values = [
-            0 if labels[i] == labels[j] else v for i, j, v in zip(first, second, across)
-        ]
-    else:
-        values = draw(st.lists(st.integers(0, 3), min_size=pairs, max_size=pairs))
-    return k, [float(v) for v in values]
-
-
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(tie_heavy_matrices())
 def test_two_seeds_matches_the_oracle_on_tie_heavy_input(case):
@@ -158,6 +140,25 @@ def test_two_seeds_matches_exact_scoring_of_every_candidate(token):
         criterion = dc.Criterion(token)
         got = dc.two_seeds_split(m, members, criterion)
         assert got == exact_loop_split(m, members, criterion)
+
+
+def test_two_seeds_rescores_each_distinct_mask_once(monkeypatch):
+    # separated groups make many seed pairs produce the same near-best split
+    rng = np.random.default_rng(0)
+    m = dc.euclidean_from_data(
+        np.concatenate([rng.normal(centre, 0.3, (20, 3)) for centre in (0.0, 8.0, 16.0)])
+    )
+    calls = []
+
+    def recording(criterion, square, left, right, squared=None):
+        calls.append((criterion, tuple(left)))
+        return _score_sets(criterion, square, left, right, squared)
+
+    monkeypatch.setattr("divclust.splitters._score_sets", recording)
+    for criterion in (dc.Criterion.AVERAGE_LINK, dc.Criterion.WARD_SZEKELY_RIZZO):
+        dc.two_seeds_split(m, range(60), criterion)
+        assert any(c is criterion for c, _ in calls)
+    assert len(calls) == len(set(calls))
 
 
 def test_macnaughton_smith_line4(line4):
