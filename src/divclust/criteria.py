@@ -115,12 +115,12 @@ def _score_sets(
 _EXACT_SCREENS = frozenset({Criterion.SINGLE_LINK, Criterion.COMPLETE_LINK})
 _PAIR_SCREENS = frozenset({Criterion.SINGLE_LINK, Criterion.COMPLETE_LINK, Criterion.DUNN})
 
-# Scratch memory for one chunk of candidates.
-_CHUNK_BYTES = 2 << 20
-# Multiply-adds in one chunk's table product. OpenBLAS computes products up
-# to 2^18 on the calling thread and larger ones on its thread pool, whose
-# threads only contend for the cores when a process pool already fills them:
-# a 2-worker grid ran 35 % slower with 40-object products in one piece.
+# Candidates times k^2 in one chunk: the multiply-adds of its table product,
+# and twice the bytes of a pair screen's boolean table. OpenBLAS computes
+# products up to 2^18 on the calling thread and larger ones on its thread
+# pool, whose threads only contend for the cores when a process pool already
+# fills them: a 2-worker grid ran 35 % slower with 40-object products in one
+# piece.
 _CHUNK_PRODUCT = 1 << 18
 
 # Nonzero table entries inside this range keep every sum, mean and ratio the
@@ -166,7 +166,7 @@ class CandidateScreen:
         )
         self.bounded = bounded or criterion in _EXACT_SCREENS
         self.band = 8.0 * (k * k + 2 * k + 16) * np.finfo(float).eps
-        scratch = 80 * k
+        self.chunk = max(1, _CHUNK_PRODUCT // (k * k))
         if criterion in _PAIR_SCREENS:
             first, second = pairs
             values = table[first, second]
@@ -174,11 +174,6 @@ class CandidateScreen:
             if criterion is not Criterion.SINGLE_LINK:
                 order = order[::-1]
             self.pairs = (first[order], second[order], values[order])
-            scratch += 3 * first.size
-        self.chunk = _CHUNK_BYTES // scratch
-        if criterion not in _EXACT_SCREENS:
-            self.chunk = min(self.chunk, _CHUNK_PRODUCT // (k * k))
-        self.chunk = max(1, self.chunk)
 
     def _first_pair(self, masks: np.ndarray, same_side: bool) -> np.ndarray:
         """Per candidate, the first pair position on the wanted sides; -1 if none."""

@@ -42,17 +42,17 @@ def concordance(d: DissimilarityMatrix, u: DissimilarityMatrix) -> ConcordanceCo
     dv = d.condensed
     uv = u.condensed
     n_pairs = dv.shape[0]
-    cols = np.arange(n_pairs)
     s_plus = 0
     s_minus = 0
     for start in range(0, n_pairs, _BLOCK):
         stop = min(start + _BLOCK, n_pairs)
-        sd = np.sign(dv[start:stop, None] - dv[None, :])
-        su = np.sign(uv[start:stop, None] - uv[None, :])
-        prod = sd * su
-        ahead = cols[None, :] > np.arange(start, stop)[:, None]
-        s_plus += int(((prod > 0) & ahead).sum())
-        s_minus += int(((prod < 0) & ahead).sum())
+        # pairs start.. against start..: the strict upper triangle holds
+        # each later pair once
+        sd = np.sign(dv[start:stop, None] - dv[None, start:])
+        su = np.sign(uv[start:stop, None] - uv[None, start:])
+        prod = np.triu(sd * su, 1)
+        s_plus += int(np.count_nonzero(prod > 0))
+        s_minus += int(np.count_nonzero(prod < 0))
     return ConcordanceCounts(s_plus, s_minus, n_pairs)
 
 

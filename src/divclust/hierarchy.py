@@ -40,28 +40,29 @@ class DendrogramNode:
 class Dendrogram:
     """A validated complete binary hierarchy over objects ``0..n-1``.
 
-    ``nodes[i].id == i`` always holds; the root is the unique node that is
-    nobody's child. Construction re-checks every structural invariant, so a
-    Dendrogram in hand is always well-formed.
+    ``nodes[i].id == i`` always holds; the root is the unique node holding
+    all objects. Construction re-checks every structural invariant in one
+    walk from the root, whose preorder (first child first) the tree keeps,
+    so a Dendrogram in hand is always well-formed.
     """
 
     n: int
     nodes: tuple[DendrogramNode, ...]
-    root_id: int = field(init=False, repr=False, compare=False)
+    preorder: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "root_id", _validate_dendrogram(self.n, self.nodes))
+        object.__setattr__(self, "preorder", _validate_dendrogram(self.n, self.nodes))
 
     @property
     def root(self) -> DendrogramNode:
-        return self.nodes[self.root_id]
+        return self.nodes[self.preorder[0]]
 
     def leaves(self) -> tuple[DendrogramNode, ...]:
         return tuple(node for node in self.nodes if node.is_leaf)
 
 
-def _validate_dendrogram(n: int, nodes: tuple[DendrogramNode, ...]) -> int:
-    """Check every structural invariant; return the root's id."""
+def _validate_dendrogram(n: int, nodes: tuple[DendrogramNode, ...]) -> tuple[int, ...]:
+    """Check every structural invariant; return the node ids in preorder."""
     if n < 2:
         raise DivclustError("a dendrogram needs at least 2 objects")
     if len(nodes) != 2 * n - 1:
@@ -77,8 +78,13 @@ def _validate_dendrogram(n: int, nodes: tuple[DendrogramNode, ...]) -> int:
             raise DivclustError("node members out of range")
         if not np.isfinite(node.level) or node.level < 0.0:
             raise DivclustError("node level must be finite and nonnegative")
-    child_ids: list[int] = []
-    for node in nodes:
+    # Children partition their parent, so the walk reaches no node twice and
+    # reaches all of them exactly when the tree is whole.
+    preorder: list[int] = []
+    stack = [node.id for node in nodes if len(node.members) == n][:1]
+    while stack:
+        node = nodes[stack.pop()]
+        preorder.append(node.id)
         if node.children is None:
             if len(node.members) != 1:
                 raise DivclustError("leaf node must be a singleton")
@@ -88,20 +94,16 @@ def _validate_dendrogram(n: int, nodes: tuple[DendrogramNode, ...]) -> int:
         ca, cb = node.children
         if not (0 <= ca < len(nodes) and 0 <= cb < len(nodes)) or ca == cb:
             raise DivclustError("bad child ids")
-        child_ids.extend((ca, cb))
         left, right = nodes[ca], nodes[cb]
         # the parent is strictly ascending, so equal children cannot overlap
         if tuple(sorted(left.members + right.members)) != node.members:
             raise DivclustError("children must partition their parent")
         if left.level > node.level or right.level > node.level:
             raise DivclustError("child level exceeds parent level")
-    claimed = set(child_ids)
-    if len(child_ids) != len(claimed):
-        raise DivclustError("a node is claimed by two parents")
-    roots = [node for node in nodes if node.id not in claimed]
-    if len(roots) != 1 or roots[0].members != tuple(range(n)):
+        stack.extend((cb, ca))
+    if len(preorder) != len(nodes):
         raise DivclustError("dendrogram must have one root covering all objects")
-    return roots[0].id
+    return tuple(preorder)
 
 
 def divisive_hierarchy(m: DissimilarityMatrix, splitter: Splitter) -> Dendrogram:

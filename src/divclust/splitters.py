@@ -14,6 +14,7 @@ first-appearance / smallest-index rules, never by randomness.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -193,13 +194,20 @@ def pcoa_first_axis(m: DissimilarityMatrix, members) -> PcoaAxis:
 
     Raises NoPositiveEigenvalueError when the dominant eigenvalue does not
     exceed ``1e-12`` times the Gram trace, as happens for all-tied clusters.
+    Dissimilarities whose squares would overflow are scaled by a power of
+    two, which is exact, and the results scaled back; the eigenvalue, which
+    grows as their square, may then be infinite.
     """
     return _pcoa_axis(_cluster_submatrix(m, members)[1])
 
 
 def _pcoa_axis(sub: np.ndarray) -> PcoaAxis:
     k = len(sub)
-    d2 = sub**2
+    # entries above about 1e154 square, or sum their squares, past the float
+    # range; a power-of-two scale below 1 is exact and is undone at the end
+    top = float(sub.max())
+    shift = math.frexp(top)[1] if top * k > 2.0**500 else 0
+    d2 = np.ldexp(sub, -shift) ** 2
     row_mean = d2.mean(axis=1)
     gram = -0.5 * (d2 - row_mean[:, None] - row_mean[None, :] + d2.mean())
     trace = float(np.trace(gram))
@@ -223,6 +231,9 @@ def _pcoa_axis(sub: np.ndarray) -> PcoaAxis:
     coords = np.sqrt(eigenvalue) * v
     if coords[0] > 0.0:
         coords = -coords
+    with np.errstate(over="ignore"):  # values past the float range are infinite
+        coords = np.ldexp(coords, shift)
+        eigenvalue = float(np.ldexp(eigenvalue, 2 * shift))
     coords.setflags(write=False)
     return PcoaAxis(coords, eigenvalue)
 

@@ -17,21 +17,10 @@ _LABEL_GAP = 16.0
 
 def dendrogram_svg(tree: Dendrogram) -> str:
     """Render a dendrogram as a standalone SVG document."""
-    root = tree.root
-    leaf_order: list[int] = []
-    internal_preorder: list[int] = []
-    stack = [root.id]
-    while stack:
-        node = tree.nodes[stack.pop()]
-        if node.is_leaf:
-            leaf_order.append(node.id)
-        else:
-            internal_preorder.append(node.id)
-            stack.append(node.children[1])
-            stack.append(node.children[0])
+    leaf_order = [nid for nid in tree.preorder if tree.nodes[nid].is_leaf]
     leaf_x = {nid: _MARGIN + rank * _LEAF_SPACING for rank, nid in enumerate(leaf_order)}
 
-    top = root.level
+    top = tree.root.level
     scale = _PLOT_HEIGHT / top if top > 0.0 else 0.0
 
     def y_of(level: float) -> float:
@@ -40,9 +29,10 @@ def dendrogram_svg(tree: Dendrogram) -> str:
     # junctions sit midway between their children; reversed preorder places
     # every child before its parent
     x_of: dict[int, float] = dict(leaf_x)
-    for nid in reversed(internal_preorder):
-        ca, cb = tree.nodes[nid].children
-        x_of[nid] = (x_of[ca] + x_of[cb]) / 2.0
+    for nid in reversed(tree.preorder):
+        if not tree.nodes[nid].is_leaf:
+            ca, cb = tree.nodes[nid].children
+            x_of[nid] = (x_of[ca] + x_of[cb]) / 2.0
     width = 2 * _MARGIN + (len(leaf_order) - 1) * _LEAF_SPACING
     height = _MARGIN + _PLOT_HEIGHT + _LABEL_GAP + _MARGIN
     parts = [

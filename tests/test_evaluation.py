@@ -59,14 +59,18 @@ def test_concordance_matches_quadruple_loop(n, data):
     assert (counts.s_plus, counts.s_minus) == concordance_counts(dvals, u.condensed.tolist())
 
 
-def test_concordance_blocked_scan_matches_loop_on_a_big_matrix():
-    # 24 objects give 276 pair values, crossing the 256-wide block boundary
-    m, dvals = random_matrix(300, 24)
+@pytest.mark.parametrize("n", [24, 40])
+def test_concordance_blocked_scan_matches_loop_on_a_big_matrix(n):
+    # 24 and 40 objects give 276 and 780 pair values: 2 and 4 256-row blocks;
+    # values in {1, 2, 3} put exact ties on both vectors in every block
+    m, dvals = random_matrix(300, n)
     u = dc.cophenetic(dc.agglomerative_average_link(m))
-    counts = dc.concordance(m, u)
-    expected = concordance_counts(dvals, u.condensed.tolist())
-    assert (counts.s_plus, counts.s_minus) == expected
-    assert counts.n_pairs == 276
+    rng = np.random.default_rng(41)
+    ties = [rng.integers(1, 4, len(dvals)).astype(float).tolist() for _ in range(2)]
+    for d, e in ((dvals, u.condensed.tolist()), ties):
+        counts = dc.concordance(dc.DissimilarityMatrix(n, d), dc.DissimilarityMatrix(n, e))
+        assert (counts.s_plus, counts.s_minus) == concordance_counts(d, e)
+        assert counts.n_pairs == n * (n - 1) // 2
 
 
 def test_concordance_rejects_bad_inputs():

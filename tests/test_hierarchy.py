@@ -73,6 +73,11 @@ def test_every_algorithm_builds_a_complete_binary_tree(token):
             if node.children is not None:
                 for child in node.children:
                     assert tree.nodes[child].level <= node.level
+        assert sorted(tree.preorder) == list(range(2 * n - 1))
+        assert tree.preorder[0] == tree.root.id
+        for nid, after in zip(tree.preorder, tree.preorder[1:]):
+            if tree.nodes[nid].children is not None:
+                assert after == tree.nodes[nid].children[0]
 
 
 def zero_block_matrix() -> dc.DissimilarityMatrix:

@@ -249,6 +249,22 @@ def test_pddp_refinement_moves_a_misplaced_object():
     assert sides(b) == {frozenset([0, 1, 2, 3]), frozenset([4, 5])}
 
 
+@pytest.mark.filterwarnings("error")
+def test_pddp_is_exact_where_squared_distances_overflow():
+    # entries near 1e161 square past the float range; a power-of-two scale
+    # must give exactly the scaled axis and the same tree
+    rng = np.random.default_rng(3)
+    centres = rng.uniform(-6.0, 6.0, (3, 4))
+    m = dc.euclidean_from_data(np.concatenate([c + rng.standard_normal((10, 4)) for c in centres]))
+    big = dc.validate_matrix(m.square() * 2.0**530)
+    axis = dc.pcoa_first_axis(big, range(30))
+    assert np.array_equal(axis.coords, dc.pcoa_first_axis(m, range(30)).coords * 2.0**530)
+    tree, scaled = dc.build_hierarchy(m, "pddp"), dc.build_hierarchy(big, "pddp")
+    for node, twin in zip(tree.nodes, scaled.nodes):
+        assert (twin.members, twin.children) == (node.members, node.children)
+        assert twin.level == node.level * 2.0**530
+
+
 def test_empty_side_repair_rule():
     from divclust.splitters import _sides_from_coords
 
