@@ -179,6 +179,22 @@ def euclidean_from_data(data: np.ndarray | Sequence[Sequence[float]]) -> Dissimi
     return DissimilarityMatrix(arr.shape[0], dist)
 
 
+# A table whose max M lies outside this window is scaled by 2^-frexp(M), exact
+# while entries stay normal. M <= 2^160 keeps ward1's squared table below 2^320
+# (about 2e96); the power iteration's squared norm, whose terms are fourth
+# powers, lies in [M^4/k^4, k^2 M^4], so it stays normal for any k below 2^95.
+_WINDOW = (2.0**-160, 2.0**160)
+
+
+def _into_window(table: np.ndarray) -> tuple[np.ndarray, int]:
+    """``table`` times 2^-shift, with its max in ``_WINDOW`` unless zero, and shift."""
+    top = float(table.max())
+    if top == 0.0 or _WINDOW[0] <= top <= _WINDOW[1]:
+        return table, 0
+    shift = int(np.frexp(top)[1])
+    return np.ldexp(table, -shift), shift
+
+
 def diameter(square: np.ndarray, members: Sequence[int] | np.ndarray) -> float:
     """Largest within-cluster dissimilarity; zero for a singleton."""
     return float(square[np.ix_(members, members)].max())

@@ -123,9 +123,9 @@ _PAIR_SCREENS = frozenset({Criterion.SINGLE_LINK, Criterion.COMPLETE_LINK, Crite
 # piece.
 _CHUNK_PRODUCT = 1 << 18
 
-# Nonzero table entries inside this range keep every sum, mean and ratio the
-# criteria form far from underflow and overflow, so each rounding is relative.
-_SAFE_ENTRIES = (1e-100, 1e100)
+# Nonzero table entries at or above this keep every sum, mean and ratio the
+# criteria form far from underflow (the magnitude window bounds them above).
+_SMALLEST_SAFE_ENTRY = 1e-100
 
 
 class CandidateScreen:
@@ -133,11 +133,11 @@ class CandidateScreen:
 
     ``table`` is the cluster's k-by-k dissimilarity table, squared for
     ``ward1``, exactly as :func:`_score_sets` receives it, and ``pairs`` the
-    row and column indices of its upper triangle. For a C-by-k
-    boolean array of left-side masks, :meth:`score` returns screened scores
-    and bands such that ``_score_sets`` on candidate c yields a value within
-    ``bands[c]`` of ``scores[c]``; a zero band means ``scores[c]`` is that
-    value exactly.
+    row and column indices of its upper triangle; the dissimilarities must lie
+    in the magnitude window (at most 2^160, as ``split_mask`` ensures). For a
+    C-by-k boolean array of left-side masks, :meth:`score` returns screened
+    scores and bands such that ``_score_sets`` on candidate c yields a value
+    within ``bands[c]`` of ``scores[c]``; a zero band means it is exact.
 
     Additive criteria come from the row products ``masks @ table`` and
     ``~masks @ table``: the cross sum, both within sums and every object's
@@ -149,8 +149,8 @@ class CandidateScreen:
     pair, in a value-sorted pair list, lying across the split (single link)
     or inside a side (diameters). A zero sum means all its entries are zero,
     so the Dunn sentinels are decided exactly. If a nonzero entry falls
-    outside ``_SAFE_ENTRIES`` the relative bounds may fail, and every band
-    is infinite.
+    below ``_SMALLEST_SAFE_ENTRY`` the relative bounds may fail, and every
+    band is infinite.
     """
 
     def __init__(
@@ -161,9 +161,7 @@ class CandidateScreen:
         self.table = table
         self.k = k
         positive = table[table > 0.0]
-        bounded = positive.size == 0 or (
-            _SAFE_ENTRIES[0] <= positive.min() and positive.max() <= _SAFE_ENTRIES[1]
-        )
+        bounded = positive.size == 0 or positive.min() >= _SMALLEST_SAFE_ENTRY
         self.bounded = bounded or criterion in _EXACT_SCREENS
         self.band = 8.0 * (k * k + 2 * k + 16) * np.finfo(float).eps
         self.chunk = max(1, _CHUNK_PRODUCT // (k * k))

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DissimilarityMatrix, condensed_size
+from .core import DissimilarityMatrix, _into_window, condensed_size
 from .errors import DivclustError, NoPositiveEigenvalueError
 from .splitters import Splitter, parse_splitter, split_mask
 
@@ -150,13 +150,14 @@ def agglomerative_average_link(m: DissimilarityMatrix) -> Dendrogram:
     between-cluster dissimilarity merge, ties resolved toward the
     lexicographically smallest pair of smallest member indices; the merge
     level is that mean. Between-cluster sums are folded together on merge,
-    which reproduces the direct mean exactly up to float association.
+    which reproduces the direct mean exactly up to float association; they
+    run over the table brought into the magnitude window, levels scaled back.
     """
     n = m.n
     members: list[tuple[int, ...]] = [(i,) for i in range(n)]
     node_ids = list(range(n))
     sizes = np.ones(n)
-    cross = m.square().copy()  # running between-cluster SUMS, diagonal unused
+    cross, shift = _into_window(m.square().copy())  # between-cluster SUMS, diagonal unused
     nodes = [DendrogramNode(i, (i,), 0.0) for i in range(n)]
     while len(members) > 1:
         k = len(members)
@@ -164,7 +165,7 @@ def agglomerative_average_link(m: DissimilarityMatrix) -> Dendrogram:
         d[np.tri(k, dtype=bool)] = np.inf
         flat = int(np.argmin(d))  # first minimum in row-major = lexicographic order
         p, q = divmod(flat, k)
-        level = float(d[p, q])
+        level = float(np.ldexp(d[p, q], shift))
         merged = tuple(sorted(members[p] + members[q]))
         nodes.append(DendrogramNode(len(nodes), merged, level, (node_ids[p], node_ids[q])))
         cross[p, :] += cross[q, :]

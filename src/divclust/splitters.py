@@ -14,12 +14,11 @@ first-appearance / smallest-index rules, never by randomness.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Bipartition, DissimilarityMatrix, object_set
+from .core import Bipartition, DissimilarityMatrix, _into_window, object_set
 from .criteria import CandidateScreen, Criterion, _score_sets, parse_criterion
 from .errors import ClusterTooSmallError, DivclustError, NoPositiveEigenvalueError
 
@@ -140,8 +139,6 @@ def _two_seeds_mask(sub: np.ndarray, criterion: Criterion) -> np.ndarray:
             score = _score_sets(criterion, sub, left, right, squared)
             if score > best:
                 best, winner = score, mask
-    if winner is None:
-        raise DivclustError(f"no candidate split has a comparable {criterion.value} score")
     return winner
 
 
@@ -194,20 +191,21 @@ def pcoa_first_axis(m: DissimilarityMatrix, members) -> PcoaAxis:
 
     Raises NoPositiveEigenvalueError when the dominant eigenvalue does not
     exceed ``1e-12`` times the Gram trace, as happens for all-tied clusters.
-    Dissimilarities whose squares would overflow are scaled by a power of
-    two, which is exact, and the results scaled back; the eigenvalue, which
-    grows as their square, may then be infinite.
+    The axis of the table brought into the magnitude window by an exact power
+    of two is scaled back, so dissimilarities times 2^e give coordinates times
+    exactly 2^e; the eigenvalue, which grows as their square, may be infinite.
     """
-    return _pcoa_axis(_cluster_submatrix(m, members)[1])
+    table, shift = _into_window(_cluster_submatrix(m, members)[1])
+    axis = _pcoa_axis(table)
+    with np.errstate(over="ignore"):  # values past the float range are infinite
+        coords = np.ldexp(axis.coords, shift)
+        coords.setflags(write=False)
+        return PcoaAxis(coords, float(np.ldexp(axis.eigenvalue, 2 * shift)))
 
 
 def _pcoa_axis(sub: np.ndarray) -> PcoaAxis:
     k = len(sub)
-    # entries above about 1e154 square, or sum their squares, past the float
-    # range; a power-of-two scale below 1 is exact and is undone at the end
-    top = float(sub.max())
-    shift = math.frexp(top)[1] if top * k > 2.0**500 else 0
-    d2 = np.ldexp(sub, -shift) ** 2
+    d2 = sub**2
     row_mean = d2.mean(axis=1)
     gram = -0.5 * (d2 - row_mean[:, None] - row_mean[None, :] + d2.mean())
     trace = float(np.trace(gram))
@@ -231,10 +229,6 @@ def _pcoa_axis(sub: np.ndarray) -> PcoaAxis:
     coords = np.sqrt(eigenvalue) * v
     if coords[0] > 0.0:
         coords = -coords
-    with np.errstate(over="ignore"):  # values past the float range are infinite
-        coords = np.ldexp(coords, shift)
-        eigenvalue = float(np.ldexp(eigenvalue, 2 * shift))
-    coords.setflags(write=False)
     return PcoaAxis(coords, eigenvalue)
 
 
@@ -288,6 +282,7 @@ def _pddp_mask(sub: np.ndarray) -> np.ndarray:
 
 def split_mask(sub: np.ndarray, splitter: Splitter) -> np.ndarray:
     """One splitter on a cluster's k-by-k table: True marks the side holding its first member."""
+    sub = _into_window(sub)[0]  # exact, so every splitter decides alike at every scale
     if splitter.kind == TWO_SEEDS:
         mask = _two_seeds_mask(sub, splitter.criterion)
     elif splitter.kind == MACNAUGHTON_SMITH:

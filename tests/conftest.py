@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+import divclust as dc
 from divclust import DissimilarityMatrix, euclidean_from_data
+
+DIVISIVE_SPLITTERS = [dc.parse_splitter(f"two-seeds:{c.value}") for c in dc.Criterion] + [
+    dc.parse_splitter("pddp"),
+    dc.parse_splitter("macnaughton-smith"),
+]
 
 
 @pytest.fixture

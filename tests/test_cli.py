@@ -48,6 +48,19 @@ def test_cluster_from_distance_csv(tmp_path, dist_csv):
     assert b"\r" not in out.read_bytes()
 
 
+@pytest.mark.parametrize("algo", ["two-seeds:ward1", "average-agglomerative"])
+def test_cluster_keeps_the_tree_of_distances_near_the_float_maximum(tmp_path, algo):
+    points = np.array([0.0, 1.0, 3.0, 10.0, 11.0, 15.0])
+    table = np.abs(points[:, None] - points[None, :])
+    members = []
+    for name, scale in (("plain", 1.0), ("big", 2.0**1017)):
+        src, out = tmp_path / f"{name}.csv", tmp_path / f"{name}.json"
+        np.savetxt(src, table * scale, delimiter=",", fmt="%.17g")
+        assert cli.main(["cluster", str(src), "--algo", algo, "--out", str(out)]) == 0
+        members.append([node["members"] for node in json.loads(out.read_text())["nodes"]])
+    assert members[0] == members[1]
+
+
 def test_cluster_from_data_csv(tmp_path):
     src = tmp_path / "points.csv"
     src.write_text(LINE4_DATA)

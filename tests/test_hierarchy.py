@@ -6,12 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import divclust as dc
-from conftest import random_matrix, tie_heavy_matrices
-
-DIVISIVE_SPLITTERS = [dc.parse_splitter(f"two-seeds:{c.value}") for c in dc.Criterion] + [
-    dc.parse_splitter("pddp"),
-    dc.parse_splitter("macnaughton-smith"),
-]
+from conftest import DIVISIVE_SPLITTERS, random_matrix, tie_heavy_matrices
+from divclust.benchmark import generate_dataset
 
 ALGORITHMS = [
     "two-seeds:complete",
@@ -108,6 +104,37 @@ def test_divisive_levels_are_diameters(token):
             except dc.NoPositiveEigenvalueError:
                 split = dc.split_cluster(m, node.members, fallback)
             assert (split.left, split.right) == tuple(tree.nodes[c].members for c in node.children)
+
+
+SCALES = (400, -400, 530, -530, 1017)
+
+
+def assert_scale_equivariant(m: dc.DissimilarityMatrix, token: str):
+    # a power-of-two scale is exact, and every algorithm is scale-equivariant:
+    # the tree must not change and every level must scale exactly
+    tree = dc.build_hierarchy(m, token)
+    for e in SCALES:
+        scaled = dc.build_hierarchy(dc.DissimilarityMatrix(m.n, np.ldexp(m.condensed, e)), token)
+        for node, twin in zip(tree.nodes, scaled.nodes):
+            assert (twin.members, twin.children) == (node.members, node.children)
+            assert twin.level == np.ldexp(node.level, e)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(tie_heavy_matrices(min_k=3))
+def test_trees_are_scale_equivariant_on_tie_heavy_input(case):
+    k, values = case
+    for token in dc.DEFAULT_ALGORITHMS:
+        assert_scale_equivariant(dc.DissimilarityMatrix(k, values), token)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("token", dc.DEFAULT_ALGORITHMS)
+def test_trees_are_scale_equivariant_on_grid_tables(token):
+    for master_seed, objects in ((0, 40), (1, 24)):
+        data = generate_dataset(master_seed, 0, objects, 10)
+        assert_scale_equivariant(dc.euclidean_from_data(data), token)
 
 
 def test_agglomerative_line4_structure(line4):
