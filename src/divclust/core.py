@@ -195,19 +195,6 @@ def _into_window(table: np.ndarray) -> tuple[np.ndarray, int]:
     return np.ldexp(table, -shift), shift
 
 
-def diameter(square: np.ndarray, members: Sequence[int] | np.ndarray) -> float:
-    """Largest within-cluster dissimilarity; zero for a singleton."""
-    return float(square[np.ix_(members, members)].max())
-
-
-def mean_within(square: np.ndarray, members: Sequence[int] | np.ndarray) -> float:
-    """Mean over unordered within-cluster pairs; zero for a singleton."""
-    k = len(members)
-    if k == 1:
-        return 0.0
-    return float(square[np.ix_(members, members)][np.triu_indices(k, 1)].mean())
-
-
 @dataclass(frozen=True)
 class ClusterStats:
     """Distance statistics for one cluster, optionally against a second one."""
@@ -237,20 +224,17 @@ def cluster_stats(
     aa = object_set(a)
     _check_range(aa, m.n)
     square = m.square()
+    within = square[np.ix_(aa, aa)][np.triu_indices(len(aa), 1)]
+    # a singleton has no within pairs: diameter and mean are zero
+    stats = (float(within.max(initial=0.0)), float(within.mean()) if within.size else 0.0)
     if b is None:
-        return ClusterStats(diameter(square, aa), mean_within(square, aa))
+        return ClusterStats(*stats)
     bb = object_set(b)
     _check_range(bb, m.n)
     if set(aa) & set(bb):
         raise OverlappingSetsError("clusters share objects")
     cross = square[np.ix_(aa, bb)]
-    return ClusterStats(
-        diameter(square, aa),
-        mean_within(square, aa),
-        float(cross.min()),
-        float(cross.max()),
-        float(cross.mean()),
-    )
+    return ClusterStats(*stats, float(cross.min()), float(cross.max()), float(cross.mean()))
 
 
 @dataclass(frozen=True)

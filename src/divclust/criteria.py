@@ -4,6 +4,12 @@ Every criterion maps a candidate bipartition of a cluster to a score, and
 splitters always keep the candidate with the highest score. Criteria that
 are naturally minimized (the complete-link diameter) are negated so that
 the shared contract holds.
+
+Each criterion's formula is written once, in :class:`CandidateScreen`. Its
+exact score of one candidate (:meth:`CandidateScreen.exact`) is the score
+the two-seeds search maximizes and :func:`score_bipartition` reports; its
+batched screen of many candidates stays within a proven error band of that
+exact score, so the search only rescores the candidates near the best.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import Bipartition, DissimilarityMatrix, diameter, mean_within
+from .core import Bipartition, DissimilarityMatrix, _into_window
 from .errors import DivclustError, ObjectNotInBipartitionError
 
 
@@ -36,83 +42,6 @@ def parse_criterion(token: str) -> Criterion:
         raise DivclustError(f"unknown criterion: {token!r}") from None
 
 
-def _ward_form(table: np.ndarray, left, right) -> float:
-    # Pooled pairwise form: (np*nq/(np+nq)) *
-    #   [ 2/(np*nq) * sum_cross  -  1/np^2 * sum_left  -  1/nq^2 * sum_right ]
-    # where the within sums run over ordered pairs (each unordered pair twice).
-    np_, nq = len(left), len(right)
-    cross = float(table[np.ix_(left, right)].sum())
-    wp = float(table[np.ix_(left, left)].sum())
-    wq = float(table[np.ix_(right, right)].sum())
-    factor = np_ * nq / (np_ + nq)
-    return factor * (2.0 * cross / (np_ * nq) - wp / np_**2 - wq / nq**2)
-
-
-def _ratio(num: float, den: float) -> float:
-    # Zero denominator means both sides are internally tied at zero: treat a
-    # separated split as infinitely good, a fully degenerate one as neutral.
-    if den == 0.0:
-        return float("inf") if num > 0.0 else 0.0
-    return num / den
-
-
-def silhouette_values(square: np.ndarray, left, right) -> np.ndarray:
-    """Silhouette widths s(x) for every object, in ascending object order.
-
-    a(x) is the mean dissimilarity to the rest of x's own side (zero when
-    that side is a singleton), b(x) the mean to the other side; s(x) is
-    (b - a) / max(a, b), and zero when both means vanish.
-    """
-    left = np.asarray(left, dtype=int)
-    right = np.asarray(right, dtype=int)
-    nl, nr = left.size, right.size
-    a_left = square[np.ix_(left, left)].sum(axis=1) / (nl - 1) if nl > 1 else np.zeros(nl)
-    a_right = square[np.ix_(right, right)].sum(axis=1) / (nr - 1) if nr > 1 else np.zeros(nr)
-    b_left = square[np.ix_(left, right)].sum(axis=1) / nr
-    b_right = square[np.ix_(right, left)].sum(axis=1) / nl
-    a = np.concatenate([a_left, a_right])
-    b = np.concatenate([b_left, b_right])
-    denom = np.maximum(a, b)
-    s = np.zeros(nl + nr)
-    np.divide(b - a, denom, out=s, where=denom > 0.0)
-    order = np.argsort(np.concatenate([left, right]), kind="stable")
-    return s[order]
-
-
-def _score_sets(
-    criterion: Criterion,
-    square: np.ndarray,
-    left,
-    right,
-    squared: np.ndarray | None = None,
-) -> float:
-    """Score one candidate split given ascending member index arrays."""
-    if criterion is Criterion.SINGLE_LINK:
-        return float(square[np.ix_(left, right)].min())
-    if criterion is Criterion.COMPLETE_LINK:
-        return -max(diameter(square, left), diameter(square, right))
-    if criterion is Criterion.AVERAGE_LINK:
-        return float(square[np.ix_(left, right)].mean())
-    if criterion is Criterion.WARD_ORIGINAL:
-        if squared is None:
-            squared = square**2
-        return _ward_form(squared, left, right)
-    if criterion is Criterion.WARD_SZEKELY_RIZZO:
-        return _ward_form(square, left, right)
-    if criterion is Criterion.DUNN:
-        num = float(square[np.ix_(left, right)].mean())
-        return _ratio(num, max(diameter(square, left), diameter(square, right)))
-    if criterion is Criterion.DUNN_VARIANT:
-        num = float(square[np.ix_(left, right)].mean())
-        return _ratio(num, max(mean_within(square, left), mean_within(square, right)))
-    if criterion is Criterion.SILHOUETTE:
-        return float(silhouette_values(square, left, right).mean())
-    raise DivclustError(f"unhandled criterion: {criterion}")
-
-
-# Criteria whose screened score is _score_sets's value itself: a min or max
-# of table entries, which no regrouping can round differently.
-_EXACT_SCREENS = frozenset({Criterion.SINGLE_LINK, Criterion.COMPLETE_LINK})
 _PAIR_SCREENS = frozenset({Criterion.SINGLE_LINK, Criterion.COMPLETE_LINK, Criterion.DUNN})
 
 # Candidates times k^2 in one chunk: the multiply-adds of its table product,
@@ -127,42 +56,49 @@ _CHUNK_PRODUCT = 1 << 18
 # criteria form far from underflow (the magnitude window bounds them above).
 _SMALLEST_SAFE_ENTRY = 1e-100
 
+# Scores unchanged when every dissimilarity is scaled by the same factor.
+_SCALE_FREE = frozenset({Criterion.DUNN, Criterion.DUNN_VARIANT, Criterion.SILHOUETTE})
+
 
 class CandidateScreen:
-    """Batched scores of many candidate splits of one cluster, with error bands.
+    """Scores of candidate splits of one cluster: batched with error bands, or exact.
 
-    ``table`` is the cluster's k-by-k dissimilarity table, squared for
-    ``ward1``, exactly as :func:`_score_sets` receives it, and ``pairs`` the
+    ``table`` is the cluster's k-by-k dissimilarity table and ``pairs`` the
     row and column indices of its upper triangle; the dissimilarities must lie
-    in the magnitude window (at most 2^160, as ``split_mask`` ensures). For a
-    C-by-k boolean array of left-side masks, :meth:`score` returns screened
-    scores and bands such that ``_score_sets`` on candidate c yields a value
-    within ``bands[c]`` of ``scores[c]``; a zero band means it is exact.
+    in the magnitude window (at most 2^160, as ``split_mask`` ensures), and
+    ``ward1`` squares them here. For a C-by-k boolean array of left-side
+    masks, :meth:`score` returns screened scores and bands such that
+    :meth:`exact` on candidate c yields a value within ``bands[c]`` of
+    ``scores[c]``; a zero band means the two are bitwise equal.
 
-    Additive criteria come from the row products ``masks @ table`` and
-    ``~masks @ table``: the cross sum, both within sums and every object's
-    sum to each side. All terms are nonnegative, so the screen and
-    ``_score_sets`` each sum them to a relative error below
-    ``rho = (k^2 + 2k + 16) * eps``, whatever the grouping; the bands are
-    8 * rho times each criterion's scale, which covers both sides' errors and
-    the few roundings that combine them. Min/max parts are exact: the first
-    pair, in a value-sorted pair list, lying across the split (single link)
-    or inside a side (diameters). A zero sum means all its entries are zero,
-    so the Dunn sentinels are decided exactly. If a nonzero entry falls
-    below ``_SMALLEST_SAFE_ENTRY`` the relative bounds may fail, and every
-    band is infinite.
+    Both run the same expressions. Additive criteria start from every
+    object's sum to each side: the screen takes them from the row products
+    ``masks @ table`` and ``~masks @ table``, the exact score from plain
+    numpy sums of one mask's rows, so it depends neither on chunking nor on
+    the BLAS thread count. From them come the cross sum and both within
+    sums. All terms are nonnegative, so either way sums them to a relative
+    error below ``rho = (k^2 + 2k + 16) * eps``, whatever the grouping; the
+    bands are 8 * rho times each criterion's scale, which covers both sides'
+    errors and the few roundings that combine them. Min/max parts are exact
+    in both: the first pair, in a value-sorted pair list, lying across the
+    split (single link) or inside a side (diameters). A zero sum means all
+    its entries are zero, so the Dunn sentinels are decided exactly. If a
+    nonzero entry falls below ``_SMALLEST_SAFE_ENTRY`` the relative bounds
+    may fail, and every nonzero band is infinite; a zero band stays exact,
+    since its sums have only zero terms or its score is a table entry.
     """
 
     def __init__(
         self, criterion: Criterion, table: np.ndarray, pairs: tuple[np.ndarray, np.ndarray]
     ):
+        if criterion is Criterion.WARD_ORIGINAL:
+            table = table**2
         k = len(table)
         self.criterion = criterion
         self.table = table
         self.k = k
         positive = table[table > 0.0]
-        bounded = positive.size == 0 or positive.min() >= _SMALLEST_SAFE_ENTRY
-        self.bounded = bounded or criterion in _EXACT_SCREENS
+        self.bounded = positive.size == 0 or positive.min() >= _SMALLEST_SAFE_ENTRY
         self.band = 8.0 * (k * k + 2 * k + 16) * np.finfo(float).eps
         self.chunk = max(1, _CHUNK_PRODUCT // (k * k))
         if criterion in _PAIR_SCREENS:
@@ -190,12 +126,17 @@ class CandidateScreen:
 
     def score(self, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Screened scores and bands of the candidates in ``masks`` (C-by-k, True = left)."""
-        scores, bands = self._score(masks)
+        scores, bands = self._score(masks, lambda side: side.astype(float) @ self.table)
         if not self.bounded:
-            bands = np.full(len(scores), np.inf)
+            bands = np.where(bands == 0.0, 0.0, np.inf)
         return scores, bands
 
-    def _score(self, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def exact(self, mask: np.ndarray) -> float:
+        """Exact score of one candidate (a k-vector, True = left)."""
+        return float(self._score(mask[None], lambda side: _plain_sums(self.table, side))[0][0])
+
+    def _score(self, masks: np.ndarray, sums) -> tuple[np.ndarray, np.ndarray]:
+        """Scores and bands of ``masks``; ``sums(side)`` gives every object's sum to a side."""
         criterion = self.criterion
         if criterion is Criterion.SINGLE_LINK:
             pos = self._first_pair(masks, same_side=False)
@@ -203,18 +144,21 @@ class CandidateScreen:
         if criterion is Criterion.COMPLETE_LINK:
             diam = self._diameters(masks)
             return -diam, np.zeros(len(diam))
+        to_left = sums(masks)
+        if criterion is Criterion.SILHOUETTE:
+            scores = _silhouette_widths(masks, to_left, sums(~masks)).mean(axis=1)
+            return scores, np.full(len(scores), self.band)
         left = masks.astype(float)
         right = 1.0 - left
         n_left = left.sum(axis=1)
         n_right = self.k - n_left
-        to_left = left @ self.table
         cross = np.einsum("ij,ij->i", right, to_left)
         if criterion is Criterion.AVERAGE_LINK:
             scores = cross / (n_left * n_right)
             return scores, self.band * scores
         if criterion is Criterion.DUNN:
             return self._ratio(cross / (n_left * n_right), self._diameters(masks))
-        to_right = right @ self.table
+        to_right = sums(~masks)
         within_left = np.einsum("ij,ij->i", left, to_left)
         within_right = np.einsum("ij,ij->i", right, to_right)
         if criterion in (Criterion.WARD_ORIGINAL, Criterion.WARD_SZEKELY_RIZZO):
@@ -232,22 +176,41 @@ class CandidateScreen:
                 _mean_or_zero(within_right, n_right * (n_right - 1)),
             )
             return self._ratio(cross / (n_left * n_right), den)
-        if criterion is Criterion.SILHOUETTE:
-            n_own = np.where(masks, n_left[:, None], n_right[:, None])
-            a = _mean_or_zero(np.where(masks, to_left, to_right), n_own - 1)
-            b = np.where(masks, to_right, to_left) / (self.k - n_own)
-            peak = np.maximum(a, b)
-            widths = np.zeros_like(a)
-            np.divide(b - a, peak, out=widths, where=peak > 0.0)
-            scores = widths.mean(axis=1)
-            return scores, np.full(len(scores), self.band)
         raise DivclustError(f"unhandled criterion: {criterion}")
 
     def _ratio(self, num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Screened Dunn ratios; the sentinels of a zero denominator are exact."""
+        """Dunn ratios; the sentinels of a zero denominator are exact.
+
+        Where the table spans more than the float range, a ratio can exceed
+        the float maximum; it is then infinite, and so is its band.
+        """
         scores = np.where(num > 0.0, np.inf, 0.0)
-        np.divide(num, den, out=scores, where=den > 0.0)
-        return scores, np.where(den > 0.0, self.band * scores, 0.0)
+        with np.errstate(over="ignore"):
+            np.divide(num, den, out=scores, where=den > 0.0)
+            return scores, np.where(den > 0.0, self.band * scores, 0.0)
+
+
+def _plain_sums(table: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """Every object's sum to the side marked in the one row of ``masks``, as a 1-by-k array."""
+    return table[masks[0]].sum(axis=0, keepdims=True)
+
+
+def _silhouette_widths(masks: np.ndarray, to_left: np.ndarray, to_right: np.ndarray) -> np.ndarray:
+    """Silhouette width s(x) of every object, per candidate, from its sums to each side.
+
+    a(x) is the mean dissimilarity to the rest of x's own side (zero when
+    that side is a singleton), b(x) the mean to the other side; s(x) is
+    (b - a) / max(a, b), and zero when both means vanish.
+    """
+    k = masks.shape[1]
+    n_left = masks.sum(axis=1, keepdims=True).astype(float)
+    n_own = np.where(masks, n_left, k - n_left)
+    a = _mean_or_zero(np.where(masks, to_left, to_right), n_own - 1)
+    b = np.where(masks, to_right, to_left) / (k - n_own)
+    peak = np.maximum(a, b)
+    widths = np.zeros_like(a)
+    np.divide(b - a, peak, out=widths, where=peak > 0.0)
+    return widths
 
 
 def _mean_or_zero(total: np.ndarray, count: np.ndarray) -> np.ndarray:
@@ -255,18 +218,29 @@ def _mean_or_zero(total: np.ndarray, count: np.ndarray) -> np.ndarray:
     return np.divide(total, count, out=np.zeros_like(total), where=count > 0)
 
 
+def _union_table(m: DissimilarityMatrix, b: Bipartition) -> tuple[np.ndarray, int, np.ndarray]:
+    """The table of ``b``'s union brought into the magnitude window, its shift, and the left mask."""
+    union = np.asarray(b.members, dtype=int)
+    if union[0] < 0 or union[-1] >= m.n:
+        raise IndexError(f"bipartition indices out of range for n={m.n}")
+    table, shift = _into_window(m.square()[np.ix_(union, union)])
+    return table, shift, np.isin(union, b.left)
+
+
 def score_bipartition(criterion: Criterion, m: DissimilarityMatrix, b: Bipartition) -> float:
     """Score ``b`` on matrix ``m``; higher is a better split.
 
-    All criteria are finite except the two Dunn ratios, which return a
-    positive-infinity sentinel when the denominator is zero while the sides
-    are separated.
+    Scores are finite except the two Dunn ratios' positive-infinity
+    sentinel, returned when the denominator is zero while the sides are
+    separated, and scores past the float range. Dissimilarities times
+    2^e give exactly the score times 2^(2e) for ``ward1``, the same score for
+    the ratios and ``silhouette``, and the score times 2^e otherwise.
     """
-    if b.left[0] < 0 or max(b.left[-1], b.right[-1]) >= m.n:
-        raise IndexError(f"bipartition indices out of range for n={m.n}")
-    return _score_sets(
-        criterion, m.square(), np.asarray(b.left, dtype=int), np.asarray(b.right, dtype=int)
-    )
+    table, shift, mask = _union_table(m, b)
+    screen = CandidateScreen(criterion, table, np.triu_indices(len(table), 1))
+    power = 2 if criterion is Criterion.WARD_ORIGINAL else 0 if criterion in _SCALE_FREE else 1
+    with np.errstate(over="ignore"):  # scaled back past the float range: infinite
+        return float(np.ldexp(screen.exact(mask), power * shift))
 
 
 def silhouette_of_object(m: DissimilarityMatrix, b: Bipartition, x: int) -> float:
@@ -274,7 +248,7 @@ def silhouette_of_object(m: DissimilarityMatrix, b: Bipartition, x: int) -> floa
     union = b.members
     if x not in union:
         raise ObjectNotInBipartitionError(f"object {x} is on neither side")
-    if b.left[0] < 0 or union[-1] >= m.n:
-        raise IndexError(f"bipartition indices out of range for n={m.n}")
-    values = silhouette_values(m.square(), b.left, b.right)
-    return float(values[union.index(x)])
+    table, _, mask = _union_table(m, b)
+    masks = mask[None]
+    widths = _silhouette_widths(masks, _plain_sums(table, masks), _plain_sums(table, ~masks))
+    return float(widths[0, union.index(x)])

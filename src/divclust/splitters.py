@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Bipartition, DissimilarityMatrix, _into_window, object_set
-from .criteria import CandidateScreen, Criterion, _score_sets, parse_criterion
+from .criteria import CandidateScreen, Criterion, parse_criterion
 from .errors import ClusterTooSmallError, DivclustError, NoPositiveEigenvalueError
 
 POWER_ITERATION_TOL = 1e-10
@@ -96,9 +96,10 @@ def two_seeds_split(
     Candidates are screened as they are built, one chunk of seed pairs at a
     time in bounded scratch memory (:class:`CandidateScreen`). Only those
     whose screened score lies within the error bands of the screened maximum
-    are rescored exactly, each distinct mask once, and none when all their
-    bands are zero (exact scores); so the choice is the one exact scoring of
-    every candidate would make.
+    are rescored exactly, by the same expressions on plain numpy sums, each
+    distinct mask once, and none when all their bands are zero (exact
+    scores); so the choice is the one exact scoring of every candidate would
+    make.
     """
     return split_cluster(m, members, Splitter(TWO_SEEDS, criterion))
 
@@ -106,10 +107,9 @@ def two_seeds_split(
 def _two_seeds_mask(sub: np.ndarray, criterion: Criterion) -> np.ndarray:
     """Winning two-seeds candidate of a cluster's table, as seed i's side mask."""
     k = len(sub)
-    squared = sub**2 if criterion is Criterion.WARD_ORIGINAL else None
     # every (a, b) with a < b, in lexicographic order
     a, b = np.nonzero(~np.tri(k, dtype=bool))
-    screen = CandidateScreen(criterion, sub if squared is None else squared, (a, b))
+    screen = CandidateScreen(criterion, sub, (a, b))
 
     def chunks(which):
         for start in range(0, which.size, screen.chunk):
@@ -119,9 +119,11 @@ def _two_seeds_mask(sub: np.ndarray, criterion: Criterion) -> np.ndarray:
     screened = [screen.score(masks) for masks in chunks(np.arange(a.size))]
     scores = np.concatenate([chunk[0] for chunk in screened])
     bands = np.concatenate([chunk[1] for chunk in screened])
-    # every candidate that can reach the best lower bound; a NaN anywhere
-    # fails every comparison and keeps them all, as exact scoring would see them
-    contenders = np.flatnonzero(~(scores + bands < np.max(scores - bands)))
+    # every candidate that can reach the best lower bound (an infinite band
+    # has none); a NaN anywhere fails every comparison and keeps them all, as
+    # exact scoring would see them
+    lower = np.subtract(scores, bands, out=np.full_like(scores, -np.inf), where=bands != np.inf)
+    contenders = np.flatnonzero(~(scores + bands < np.max(lower)))
     if not bands[contenders].any():
         # a zero band is an exact score, so every contender scores the best
         first = contenders[:1]
@@ -135,8 +137,7 @@ def _two_seeds_mask(sub: np.ndarray, criterion: Criterion) -> np.ndarray:
             if key in seen:
                 continue
             seen.add(key)
-            left, right = np.flatnonzero(mask), np.flatnonzero(~mask)
-            score = _score_sets(criterion, sub, left, right, squared)
+            score = screen.exact(mask)
             if score > best:
                 best, winner = score, mask
     return winner

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import divclust as dc
-from conftest import random_matrix, random_points
+from conftest import random_matrix, random_points, tie_heavy_matrices
+from divclust.criteria import CandidateScreen
 from helpers import CRITERIA, all_bipartitions, score, square_from_condensed
 
 SPLIT_01_23 = dc.Bipartition((0, 1), (2, 3))
@@ -108,6 +111,63 @@ def test_scale_behavior_of_every_criterion():
         assert dc.score_bipartition(crit, scaled, b) == pytest.approx(
             dc.score_bipartition(crit, m, b), rel=1e-9
         )
+
+
+@pytest.mark.parametrize("exponent", [-530, -400, 400, 530, 1017])
+def test_scores_follow_the_magnitude_rule(exponent):
+    # dissimilarities times 2^e give ward1 times 2^(2e), the ratios and
+    # silhouette unchanged and every other criterion times 2^e, exactly,
+    # even where those values leave the float range
+    m, values = random_matrix(66, 9)
+    scaled = dc.DissimilarityMatrix(9, np.ldexp(values, exponent))
+    powers = {"ward1": 2, "dunn": 0, "dunn-variant": 0, "silhouette": 0}
+    for b in (dc.Bipartition((0, 2, 5), (1, 3, 4, 6, 7, 8)), dc.Bipartition((3,), (4, 8))):
+        for token in CRITERIA:
+            crit = dc.Criterion(token)
+            with np.errstate(over="ignore"):
+                expected = np.ldexp(dc.score_bipartition(crit, m, b), powers.get(token, 1) * exponent)
+            assert dc.score_bipartition(crit, scaled, b) == expected
+        for x in b.members:
+            assert dc.silhouette_of_object(scaled, b, x) == dc.silhouette_of_object(m, b, x)
+
+
+def seed_pair_masks(sub):
+    """Left-side masks of every seed pair (a, b), a < b: nearer seed, ties to a."""
+    a, b = np.triu_indices(len(sub), 1)
+    masks = sub[a] <= sub[b]
+    rows = np.arange(a.size)
+    masks[rows, a] = True
+    masks[rows, b] = False
+    return masks
+
+
+def assert_screen_within_bands(sub):
+    # the contract holds for any batch of candidates: all at once, and alone
+    for crit in dc.Criterion:
+        screen = CandidateScreen(crit, sub, np.triu_indices(len(sub), 1))
+        masks = seed_pair_masks(sub)
+        scores, bands = screen.score(masks)
+        for c, mask in enumerate(masks):
+            exact = np.float64(screen.exact(mask))
+            alone = screen.score(mask[None])
+            for screened, band in ((scores[c], bands[c]), (alone[0][0], alone[1][0])):
+                if band == 0.0:
+                    assert exact.tobytes() == screened.tobytes(), (crit, mask)
+                else:
+                    assert abs(screened - exact) <= band, (crit, mask)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(tie_heavy_matrices(), st.sampled_from([0.1, 1.0 / 3.0]))
+def test_screen_stays_within_its_bands_on_tie_heavy_input(case, unit):
+    k, values = case
+    assert_screen_within_bands(dc.DissimilarityMatrix(k, np.asarray(values) * unit).square())
+
+
+@pytest.mark.parametrize("n", [5, 12, 23, 40])
+def test_screen_stays_within_its_bands_on_random_tables(n):
+    for seed in range(3):
+        assert_screen_within_bands(random_matrix(8000 + 10 * n + seed, n)[0].square())
 
 
 def test_silhouette_values_stay_in_unit_interval():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import divclust as dc
 from conftest import DIVISIVE_SPLITTERS, random_matrix, tie_heavy_matrices
-from divclust.criteria import _score_sets
+from divclust.criteria import CandidateScreen
 from divclust.splitters import split_mask
 from helpers import CRITERIA, score, square_from_condensed, two_seeds_best
 
@@ -61,17 +61,16 @@ def test_two_seeds_matches_exhaustive_enumeration(seed):
 
 
 def exact_loop_split(m, members, criterion):
-    """Reference search: _score_sets on every seed pair in order, first strict max."""
+    """Reference search: the exact score of every seed pair in order, first strict max."""
     ms = sorted(members)
     sub = m.square()[np.ix_(ms, ms)]
-    squared = sub**2 if criterion is dc.Criterion.WARD_ORIGINAL else None
+    screen = CandidateScreen(criterion, sub, np.triu_indices(len(ms), 1))
     best, best_mask = -np.inf, None
     for a in range(len(ms)):
         for b in range(a + 1, len(ms)):
             mask = sub[:, a] <= sub[:, b]
             mask[a], mask[b] = True, False
-            left, right = np.flatnonzero(mask), np.flatnonzero(~mask)
-            value = _score_sets(criterion, sub, left, right, squared)
+            value = screen.exact(mask)
             if value > best:
                 best, best_mask = value, mask
     idx = np.asarray(ms)
@@ -131,6 +130,14 @@ def test_two_seeds_splits_where_squared_distances_overflow():
     )
 
 
+def test_two_seeds_splits_tables_wider_than_the_float_range():
+    # no power of two brings both 5e-324 and 1 into a safe range, so the
+    # bands are infinite and every candidate near the best is rescored
+    m = dc.DissimilarityMatrix(4, [5e-324, 1.0, 1.0, 1.0, 1.0, 5e-324])
+    for criterion in dc.Criterion:
+        assert dc.two_seeds_split(m, range(4), criterion) == exact_loop_split(m, range(4), criterion)
+
+
 def test_two_seeds_large_cluster_matches_the_oracle():
     rng = np.random.default_rng(7)
     centres = rng.uniform(-6.0, 6.0, (5, 10))
@@ -160,12 +167,13 @@ def test_two_seeds_rescores_each_distinct_mask_once(monkeypatch):
         np.concatenate([rng.normal(centre, 0.3, (20, 3)) for centre in (0.0, 8.0, 16.0)])
     )
     calls = []
+    exact = CandidateScreen.exact
 
-    def recording(criterion, square, left, right, squared=None):
-        calls.append((criterion, tuple(left)))
-        return _score_sets(criterion, square, left, right, squared)
+    def recording(screen, mask):
+        calls.append((screen.criterion, tuple(np.flatnonzero(mask))))
+        return exact(screen, mask)
 
-    monkeypatch.setattr("divclust.splitters._score_sets", recording)
+    monkeypatch.setattr(CandidateScreen, "exact", recording)
     for criterion in (dc.Criterion.AVERAGE_LINK, dc.Criterion.WARD_SZEKELY_RIZZO):
         dc.two_seeds_split(m, range(60), criterion)
         assert any(c is criterion for c, _ in calls)

@@ -1,0 +1,115 @@
+"""Hash every output of a fixed set of hierarchy builds, one digest per family.
+
+Two versions of the package built the same trees when their digests agree.
+Each build runs one of the 11 algorithm tokens on one table, and feeds its
+tree JSON, Newick text, SVG drawing and the concordance counts (S+, S-) of
+its cophenetic values against the table into its family's sha256. The
+tables come from fixed seeds:
+
+* ``grid`` - the 16 default benchmark tables (40 x 10 uniforms) of master
+  seeds 5 and 11;
+* ``integer`` - 24 tie-heavy tables with k = 5 to 28 and entries 0 to 3
+  (every third one has zero blocks), where distinct partitions tie exactly;
+* ``non-dyadic`` - the same tables times 0.1, where those ties differ in
+  their last bits by an amount that depends on summation order;
+* ``mixture`` - 150 points around 5 Gaussian centres in 10 dimensions.
+
+A build that raises contributes its error's class name and message instead.
+
+Run from the repository root:
+
+    PYTHONPATH=src python tools/build_set_hash.py [--each]
+
+``--each`` also prints one digest per build, to find the builds that differ.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+
+import numpy as np
+
+from divclust import (
+    DEFAULT_ALGORITHMS,
+    DissimilarityMatrix,
+    DivclustError,
+    build_hierarchy,
+    concordance,
+    cophenetic,
+    dendrogram_svg,
+    euclidean_from_data,
+    generate_dataset,
+    to_newick,
+    tree_to_json,
+)
+
+
+def grid_tables():
+    return [
+        euclidean_from_data(generate_dataset(seed, index, 40, 10))
+        for seed in (5, 11)
+        for index in range(16)
+    ]
+
+
+def integer_values() -> list[tuple[int, np.ndarray]]:
+    rng = np.random.default_rng(2015)
+    tables = []
+    for k in range(5, 29):
+        pairs = k * (k - 1) // 2
+        if k % 3 == 0:
+            labels = rng.integers(0, 3, k)
+            first, second = np.triu_indices(k, 1)
+            values = np.where(labels[first] == labels[second], 0, rng.integers(1, 4, pairs))
+        else:
+            values = rng.integers(0, 4, pairs)
+        tables.append((k, values.astype(float)))
+    return tables
+
+
+def mixture_table():
+    rng = np.random.default_rng(7)
+    centres = rng.uniform(-6.0, 6.0, (5, 10))
+    return euclidean_from_data(np.concatenate([c + rng.normal(size=(30, 10)) for c in centres]))
+
+
+def families() -> dict[str, list[DissimilarityMatrix]]:
+    integer = integer_values()
+    return {
+        "grid": grid_tables(),
+        "integer": [DissimilarityMatrix(k, values) for k, values in integer],
+        "non-dyadic": [DissimilarityMatrix(k, values * 0.1) for k, values in integer],
+        "mixture": [mixture_table()],
+    }
+
+
+def build_record(m: DissimilarityMatrix, token: str) -> bytes:
+    """Every output of one build, as bytes."""
+    try:
+        tree = build_hierarchy(m, token)
+        counts = concordance(m, cophenetic(tree))
+    except DivclustError as exc:
+        return f"{type(exc).__name__}: {exc}".encode()
+    parts = (tree_to_json(tree), to_newick(tree), dendrogram_svg(tree),
+             f"{counts.s_plus} {counts.s_minus}")
+    return "\0".join(parts).encode()
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--each", action="store_true", help="also print one digest per build")
+    args = parser.parse_args()
+    for family, tables in families().items():
+        digest = hashlib.sha256()
+        for index, m in enumerate(tables):
+            for token in DEFAULT_ALGORITHMS:
+                record = build_record(m, token)
+                digest.update(f"{index} {token}\0".encode() + record + b"\0")
+                if args.each:
+                    print(family, index, token, hashlib.sha256(record).hexdigest()[:16])
+        print(f"{family}: {len(tables) * len(DEFAULT_ALGORITHMS)} builds {digest.hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()
