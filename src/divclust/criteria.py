@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import Bipartition, DissimilarityMatrix, _into_window
+from .core import Bipartition, DissimilarityMatrix, _check_range, _into_window
 from .errors import DivclustError, ObjectNotInBipartitionError
 
 
@@ -191,22 +191,32 @@ class CandidateScreen:
 
 
 def _plain_sums(table: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """Every object's sum to the side marked in the one row of ``masks``, as a 1-by-k array."""
-    return table[masks[0]].sum(axis=0, keepdims=True)
+    """Every object's sum to the side marked in the one row of ``masks``, as a 1-by-k array.
+
+    The marked rows are added in order where they lie, without a gathered copy.
+    """
+    return table.sum(axis=0, keepdims=True, where=masks[0][:, None])
 
 
-def _silhouette_widths(masks: np.ndarray, to_left: np.ndarray, to_right: np.ndarray) -> np.ndarray:
-    """Silhouette width s(x) of every object, per candidate, from its sums to each side.
+def _side_means(
+    masks: np.ndarray, to_left: np.ndarray, to_right: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """a(x) and b(x) of every object, per candidate, from its sums to each side.
 
     a(x) is the mean dissimilarity to the rest of x's own side (zero when
-    that side is a singleton), b(x) the mean to the other side; s(x) is
-    (b - a) / max(a, b), and zero when both means vanish.
+    that side is a singleton), b(x) the mean to the other side (non-empty).
     """
     k = masks.shape[1]
     n_left = masks.sum(axis=1, keepdims=True).astype(float)
     n_own = np.where(masks, n_left, k - n_left)
     a = _mean_or_zero(np.where(masks, to_left, to_right), n_own - 1)
     b = np.where(masks, to_right, to_left) / (k - n_own)
+    return a, b
+
+
+def _silhouette_widths(masks: np.ndarray, to_left: np.ndarray, to_right: np.ndarray) -> np.ndarray:
+    """Silhouette width (b - a) / max(a, b) of every object, per candidate; 0 where a = b = 0."""
+    a, b = _side_means(masks, to_left, to_right)
     peak = np.maximum(a, b)
     widths = np.zeros_like(a)
     np.divide(b - a, peak, out=widths, where=peak > 0.0)
@@ -220,9 +230,8 @@ def _mean_or_zero(total: np.ndarray, count: np.ndarray) -> np.ndarray:
 
 def _union_table(m: DissimilarityMatrix, b: Bipartition) -> tuple[np.ndarray, int, np.ndarray]:
     """The table of ``b``'s union brought into the magnitude window, its shift, and the left mask."""
+    _check_range(b.members, m.n)
     union = np.asarray(b.members, dtype=int)
-    if union[0] < 0 or union[-1] >= m.n:
-        raise IndexError(f"bipartition indices out of range for n={m.n}")
     table, shift = _into_window(m.square()[np.ix_(union, union)])
     return table, shift, np.isin(union, b.left)
 

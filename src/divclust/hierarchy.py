@@ -288,21 +288,13 @@ def tree_from_json(text: str) -> Dendrogram:
 
 def to_newick(tree: Dendrogram) -> str:
     """Newick text: leaves are ``o<index+1>``, branch lengths are level drops."""
-    parts: list[str] = []
-    # entries are (node id, parent level) to render, or literal text to emit
-    stack: list = [(tree.root.id, None)]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            parts.append(item)
-            continue
-        node_id, parent_level = item
-        node = tree.nodes[node_id]
-        length = "" if parent_level is None else f":{parent_level - node.level:.9g}"
+    # reversed preorder places every child before its parent
+    text: dict[int, str] = {}
+    for nid in reversed(tree.preorder):
+        node = tree.nodes[nid]
         if node.is_leaf:
-            parts.append(f"o{node.members[0] + 1}{length}")
+            text[nid] = f"o{node.members[0] + 1}"
         else:
-            ca, cb = node.children
-            parts.append("(")
-            stack.extend((")" + length, (cb, node.level), ",", (ca, node.level)))
-    return "".join(parts) + ";"
+            drops = (f"{text.pop(c)}:{node.level - tree.nodes[c].level:.9g}" for c in node.children)
+            text[nid] = "(" + ",".join(drops) + ")"
+    return text[tree.root.id] + ";"

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Bipartition, DissimilarityMatrix, _into_window, object_set
-from .criteria import CandidateScreen, Criterion, parse_criterion
+from .core import Bipartition, DissimilarityMatrix, _check_range, _into_window, object_set
+from .criteria import CandidateScreen, Criterion, _plain_sums, _side_means, parse_criterion
 from .errors import ClusterTooSmallError, DivclustError, NoPositiveEigenvalueError
 
 POWER_ITERATION_TOL = 1e-10
@@ -65,8 +65,7 @@ def parse_splitter(token: str) -> Splitter:
 
 def _cluster_submatrix(m: DissimilarityMatrix, members) -> tuple[np.ndarray, np.ndarray]:
     ms = object_set(members)
-    if ms[0] < 0 or ms[-1] >= m.n:
-        raise IndexError(f"cluster indices out of range for n={m.n}")
+    _check_range(ms, m.n)
     if len(ms) < 2:
         raise ClusterTooSmallError("cannot split a singleton")
     idx = np.asarray(ms, dtype=int)
@@ -147,13 +146,20 @@ def macnaughton_smith_split(m: DissimilarityMatrix, members) -> Bipartition:
     """Splinter-group split of one cluster.
 
     The object with the largest mean dissimilarity to the rest seeds the
-    splinter group. Then, repeatedly, the object of the remainder whose mean
-    dissimilarity to the rest of the remainder exceeds its mean to the
-    splinter group by the most (strictly positive gap) moves over; ties take
-    the smallest index, and peeling stops when no gap is positive or the
-    remainder would drop below two members.
+    splinter group. Then the remainder's object with the largest gap
+    a(x) - b(x), the silhouette's means to the rest of the remainder and to
+    the splinter, moves over while that gap is positive, ties taking the
+    smallest index. A lone remaining member has a(x) = 0 and never moves, so
+    the remainder may end with one member.
     """
     return split_cluster(m, members, Splitter(MACNAUGHTON_SMITH))
+
+
+def _gaps(sub: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """a(x) - b(x) of every object under one side mask (positive: nearer the other side)."""
+    masks = mask[None]
+    a, b = _side_means(masks, _plain_sums(sub, masks), _plain_sums(sub, ~masks))
+    return (a - b)[0]
 
 
 def _macnaughton_smith_mask(sub: np.ndarray) -> np.ndarray:
@@ -161,16 +167,13 @@ def _macnaughton_smith_mask(sub: np.ndarray) -> np.ndarray:
     k = len(sub)
     mask = np.zeros(k, dtype=bool)
     mask[int(np.argmax(sub.sum(axis=1) / (k - 1)))] = True
-    while k - mask.sum() >= 2:
-        rest, splinter = np.flatnonzero(~mask), np.flatnonzero(mask)
-        to_rest = sub[np.ix_(rest, rest)].sum(axis=1) / (rest.size - 1)
-        to_splinter = sub[np.ix_(rest, splinter)].sum(axis=1) / splinter.size
-        gap = to_rest - to_splinter
+    while True:
+        gap = _gaps(sub, mask)
+        gap[mask] = -np.inf
         j = int(np.argmax(gap))
         if not gap[j] > 0.0:
-            break
-        mask[rest[j]] = True
-    return mask
+            return mask
+        mask[j] = True
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,10 +254,10 @@ def pddp_split(m: DissimilarityMatrix, members) -> Bipartition:
     """Principal-axis split of one cluster.
 
     Objects split by coordinate sign on the first principal axis (negative
-    side left), then refinement passes in ascending member order move any
-    object strictly closer on average to the other side, leaving at least
-    one member behind; passes stop when nothing moves or after Card(C)
-    passes. Propagates NoPositiveEigenvalueError for degenerate clusters.
+    side left). Passes in ascending member order then move each object whose
+    silhouette mean a(x) to the rest of its side exceeds its mean b(x) to the
+    other side, until nothing moves or for Card(C) passes. Propagates
+    NoPositiveEigenvalueError for degenerate clusters.
     """
     return split_cluster(m, members, Splitter(PDDP))
 
@@ -262,23 +265,18 @@ def pddp_split(m: DissimilarityMatrix, members) -> Bipartition:
 def _pddp_mask(sub: np.ndarray) -> np.ndarray:
     """Refined principal-axis mask of a cluster's table, negative side True."""
     k = len(sub)
-    left_mask = _sides_from_coords(_pcoa_axis(sub).coords)
+    mask = _sides_from_coords(_pcoa_axis(sub).coords)
     for _ in range(k):
         moved = False
+        gap = _gaps(sub, mask)
         for x in range(k):
-            own = np.flatnonzero(left_mask if left_mask[x] else ~left_mask)
-            if own.size < 2:
-                continue
-            other = np.flatnonzero(~left_mask if left_mask[x] else left_mask)
-            # own includes x itself, whose zero self-distance drops out of the sum
-            mean_own = float(sub[x, own].sum()) / (own.size - 1)
-            mean_other = float(sub[x, other].mean())
-            if mean_other < mean_own:
-                left_mask[x] = not left_mask[x]
+            if gap[x] > 0.0:
+                mask[x] = not mask[x]
                 moved = True
+                gap = _gaps(sub, mask)
         if not moved:
             break
-    return left_mask
+    return mask
 
 
 def split_mask(sub: np.ndarray, splitter: Splitter) -> np.ndarray:

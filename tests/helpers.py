@@ -53,14 +53,67 @@ def mean_within(s, a):
     return sum(w) / len(w) if w else 0.0
 
 
-def silhouette_value(s, own, other, x):
+def side_means(s, own, other, x):
+    """a(x), x's mean to the rest of its own side (0 if none), and b(x), its mean to the other."""
     rest = [y for y in own if y != x]
     a = sum(s[x][y] for y in rest) / len(rest) if rest else 0.0
     b = sum(s[x][y] for y in other) / len(other)
+    return a, b
+
+
+def silhouette_value(s, own, other, x):
+    a, b = side_means(s, own, other, x)
     peak = max(a, b)
     if peak == 0.0:
         return 0.0
     return (b - a) / peak
+
+
+def macnaughton_smith_peel(s, members):
+    """Splinter-group peel: (splinter, remainder), first index winning every tie.
+
+    The object farthest on average from the others seeds the splinter; then
+    the remainder's object with the largest positive gap a(x) - b(x) moves
+    over, until no gap is positive.
+    """
+    members = sorted(members)
+    spread = [sum(s[x][y] for y in members) / (len(members) - 1) for x in members]
+    splinter = [members[spread.index(max(spread))]]
+    rest = [x for x in members if x not in splinter]
+    while True:
+        best, best_gap = None, 0.0
+        for x in rest:
+            a, b = side_means(s, rest, splinter, x)
+            gap = a - b
+            if gap > best_gap:
+                best, best_gap = x, gap
+        if best is None:
+            return splinter, rest
+        splinter.append(best)
+        rest.remove(best)
+
+
+def pddp_refinement(s, left):
+    """PDDP's refinement passes over objects 0..k-1 from the side set ``left``.
+
+    Each pass visits the objects in ascending order and moves every one
+    whose gap a(x) - b(x) under the current sides is positive; passes stop
+    when nothing moves or after k passes. Returns the final left set.
+    """
+    k = len(s)
+    left = set(left)
+    for _ in range(k):
+        moved = False
+        for x in range(k):
+            right = [y for y in range(k) if y not in left]
+            own, other = (sorted(left), right) if x in left else (right, sorted(left))
+            a, b = side_means(s, own, other, x)
+            if a - b > 0.0:
+                left ^= {x}
+                moved = True
+        if not moved:
+            break
+    return left
 
 
 def score(token, s, a, b):

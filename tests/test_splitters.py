@@ -8,8 +8,15 @@ from hypothesis import strategies as st
 import divclust as dc
 from conftest import DIVISIVE_SPLITTERS, random_matrix, tie_heavy_matrices
 from divclust.criteria import CandidateScreen
-from divclust.splitters import split_mask
-from helpers import CRITERIA, score, square_from_condensed, two_seeds_best
+from divclust.splitters import _pcoa_axis, _pddp_mask, _sides_from_coords, split_mask
+from helpers import (
+    CRITERIA,
+    macnaughton_smith_peel,
+    pddp_refinement,
+    score,
+    square_from_condensed,
+    two_seeds_best,
+)
 
 ALL_ZERO_3 = dc.DissimilarityMatrix(3, [0.0, 0.0, 0.0])
 EQUILATERAL = dc.DissimilarityMatrix(3, [1.0, 1.0, 1.0])
@@ -205,6 +212,22 @@ def test_macnaughton_smith_never_empties_the_remainder():
         assert len(b.left) >= 1 and len(b.right) >= 1
 
 
+def test_macnaughton_smith_can_leave_one_member_behind():
+    # the peel moves while two or more remain, so the last move can leave one
+    m = dc.DissimilarityMatrix(4, [1, 6, 5, 1, 2, 5])
+    assert dc.macnaughton_smith_split(m, range(4)) == dc.Bipartition((0, 1, 2), (3,))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(tie_heavy_matrices(max_k=12))
+def test_macnaughton_smith_matches_the_oracle_on_tie_heavy_input(case):
+    # integer entries: every sum is exact, so each decision must match bitwise
+    k, values = case
+    splinter, rest = macnaughton_smith_peel(square_from_condensed(k, values), range(k))
+    got = dc.macnaughton_smith_split(dc.DissimilarityMatrix(k, values), range(k))
+    assert got == dc.Bipartition(tuple(splinter), tuple(rest))
+
+
 def test_pcoa_line4_recovers_line_coordinates(line4):
     axis = dc.pcoa_first_axis(line4, range(4))
     assert np.allclose(axis.coords, [-5.5, -4.5, 4.5, 5.5], atol=1e-8)
@@ -266,6 +289,21 @@ def test_pddp_refinement_moves_a_misplaced_object():
     pts = np.array([[0.0], [0.1], [0.2], [4.5], [8.0], [12.0]])
     b = dc.pddp_split(dc.euclidean_from_data(pts), range(6))
     assert sides(b) == {frozenset([0, 1, 2, 3]), frozenset([4, 5])}
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(tie_heavy_matrices(max_k=12))
+def test_pddp_refinement_matches_the_oracle_on_tie_heavy_input(case):
+    k, values = case
+    sub = dc.DissimilarityMatrix(k, values).square()
+    try:
+        start = _sides_from_coords(_pcoa_axis(sub).coords)
+    except dc.NoPositiveEigenvalueError:
+        with pytest.raises(dc.NoPositiveEigenvalueError):
+            _pddp_mask(sub)
+        return
+    want = pddp_refinement(square_from_condensed(k, values), np.flatnonzero(start).tolist())
+    assert np.flatnonzero(_pddp_mask(sub)).tolist() == sorted(want)
 
 
 @pytest.mark.filterwarnings("error")
