@@ -40,6 +40,8 @@ def pair_index(n: int, i: int, j: int) -> int:
 
     Pairs are laid out row-major: (0,1), (0,2), ..., (0,n-1), (1,2), ...
     """
+    if not (0 <= i < n and 0 <= j < n):
+        raise IndexError(f"object index out of range for n={n}")
     if i == j:
         raise DivclustError("pair index needs two distinct objects")
     if i > j:
@@ -94,9 +96,7 @@ class DissimilarityMatrix:
 
     def value(self, i: int, j: int) -> float:
         """d(i, j); zero on the diagonal."""
-        if not (0 <= i < self.n and 0 <= j < self.n):
-            raise IndexError(f"object index out of range for n={self.n}")
-        if i == j:
+        if i == j and 0 <= i < self.n:
             return 0.0
         return float(self._values[pair_index(self.n, i, j)])
 

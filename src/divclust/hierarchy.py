@@ -125,7 +125,7 @@ def divisive_hierarchy(m: DissimilarityMatrix, splitter: Splitter) -> Dendrogram
     while queue:
         nid = queue.popleft()
         cluster = np.asarray(members_of[nid])
-        sub = square[np.ix_(cluster, cluster)]
+        sub = square.take(cluster, 0).take(cluster, 1)
         levels[nid] = float(sub.max())
         try:
             mask = split_mask(sub, splitter)
@@ -149,34 +149,31 @@ def agglomerative_average_link(m: DissimilarityMatrix) -> Dendrogram:
     At every step the two active clusters with the smallest mean
     between-cluster dissimilarity merge, ties resolved toward the
     lexicographically smallest pair of smallest member indices; the merge
-    level is that mean. Between-cluster sums are folded together on merge,
-    which reproduces the direct mean exactly up to float association; they
-    run over the table brought into the magnitude window, levels scaled back.
+    level is that mean. Row and column i always belong to the cluster whose
+    smallest member is i, so the tables stay in place (merged-away rows and
+    columns are inf) and the row-major first minimum is that tie rule.
+    Between-cluster sums fold on merge, exact up to float association, over
+    the table brought into the magnitude window, levels scaled back.
     """
     n = m.n
     members: list[tuple[int, ...]] = [(i,) for i in range(n)]
     node_ids = list(range(n))
     sizes = np.ones(n)
     cross, shift = _into_window(m.square().copy())  # between-cluster SUMS, diagonal unused
+    mean = np.where(np.tri(n, dtype=bool), np.inf, cross)
     nodes = [DendrogramNode(i, (i,), 0.0) for i in range(n)]
-    while len(members) > 1:
-        k = len(members)
-        d = cross / np.outer(sizes, sizes)
-        d[np.tri(k, dtype=bool)] = np.inf
-        flat = int(np.argmin(d))  # first minimum in row-major = lexicographic order
-        p, q = divmod(flat, k)
-        level = float(np.ldexp(d[p, q], shift))
-        merged = tuple(sorted(members[p] + members[q]))
-        nodes.append(DendrogramNode(len(nodes), merged, level, (node_ids[p], node_ids[q])))
+    for _ in range(n - 1):
+        p, q = divmod(int(np.argmin(mean)), n)  # first minimum in row-major = lexicographic order
+        level = float(np.ldexp(mean[p, q], shift))
+        members[p] = tuple(sorted(members[p] + members[q]))
+        nodes.append(DendrogramNode(len(nodes), members[p], level, (node_ids[p], node_ids[q])))
+        node_ids[p] = len(nodes) - 1
         cross[p, :] += cross[q, :]
         cross[:, p] += cross[:, q]
-        cross = np.delete(np.delete(cross, q, axis=0), q, axis=1)
         sizes[p] += sizes[q]
-        sizes = np.delete(sizes, q)
-        members[p] = merged
-        node_ids[p] = len(nodes) - 1
-        del members[q]
-        del node_ids[q]
+        cross[q, :] = cross[:, q] = mean[q, :] = mean[:, q] = np.inf
+        mean[p, p + 1:] = cross[p, p + 1:] / (sizes[p] * sizes[p + 1:])
+        mean[:p, p] = cross[:p, p] / (sizes[:p] * sizes[p])
     return Dendrogram(n, tuple(nodes))
 
 
@@ -219,23 +216,25 @@ def cophenetic(tree: Dendrogram) -> DissimilarityMatrix:
     return DissimilarityMatrix(n, cond)
 
 
-def _round_level(level: float) -> float:
-    return float(f"{level:.9g}")
-
-
 def tree_to_json(tree: Dendrogram) -> str:
-    """Serialize a dendrogram; levels keep at most 9 significant digits."""
+    """Serialize a dendrogram; levels keep at most 9 significant digits.
+
+    Equal to ``json.dumps({"n": ..., "nodes": [...]}, indent=2)``, but encoded per
+    record, since on the whole document the indenting encoder holds one string per member.
+    """
     records = []
     for node in tree.nodes:
         rec = {
             "id": node.id,
             "members": [int(x) for x in node.members],
-            "level": _round_level(node.level),
+            "level": float(f"{node.level:.9g}"),
         }
         if node.children is not None:
             rec["children"] = [node.children[0], node.children[1]]
-        records.append(rec)
-    return json.dumps({"n": tree.n, "nodes": records}, indent=2)
+        records.append(json.dumps(rec, indent=2).replace("\n", "\n    "))
+    records[0] = f'{{\n  "n": {tree.n},\n  "nodes": [\n    {records[0]}'
+    records[-1] += "\n  ]\n}"
+    return ",\n    ".join(records)
 
 
 def _as_index(value, what: str) -> int:

@@ -177,6 +177,30 @@ def two_seeds_best(s, members, token):
     return best_score, best_sides
 
 
+def average_link(s):
+    """Plain average link: one (id, members, level, children) tuple per node.
+
+    Leaves come first; each merge appends a node. The mean of two clusters
+    is the direct sum over their member pairs divided by the product of
+    their sizes, and the first minimum over cluster pairs ordered by
+    (smallest member, smallest member) merges.
+    """
+    nodes = [(i, (i,), 0.0, None) for i in range(len(s))]
+    active = list(range(len(s)))  # node ids, kept in order of smallest member
+    while len(active) > 1:
+        best = None
+        for a, b in itertools.combinations(active, 2):
+            ma, mb = nodes[a][1], nodes[b][1]
+            level = sum(s[x][y] for x in ma for y in mb) / (len(ma) * len(mb))
+            if best is None or level < best[0]:
+                best = (level, a, b)
+        level, a, b = best
+        nodes.append((len(nodes), tuple(sorted(nodes[a][1] + nodes[b][1])), level, (a, b)))
+        active[active.index(a)] = len(nodes) - 1
+        active.remove(b)
+    return nodes
+
+
 def all_bipartitions(members):
     """Every unordered two-block partition, each yielded exactly once."""
     ms = sorted(members)

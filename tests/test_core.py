@@ -22,6 +22,12 @@ def test_pair_index_rejects_diagonal():
         dc.pair_index(4, 2, 2)
 
 
+def test_pair_index_rejects_out_of_range_objects():
+    for i, j in ((3, 0), (0, 5), (-1, 1), (1, -1), (3, 3), (-1, -1)):
+        with pytest.raises(IndexError):
+            dc.pair_index(3, i, j)
+
+
 def test_validate_matrix_small_example():
     m = dc.validate_matrix([[0.0, 1.0], [1.0, 0.0]])
     assert m.n == 2

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import divclust as dc
 from conftest import DIVISIVE_SPLITTERS, random_matrix, tie_heavy_matrices
 from divclust.benchmark import generate_dataset
+from helpers import average_link, square_from_condensed
 
 ALGORITHMS = [
     "two-seeds:complete",
@@ -172,6 +173,15 @@ def test_agglomerative_merge_level_equals_direct_mean():
         assert node.level == pytest.approx(float(sq[np.ix_(a, b)].mean()), rel=1e-12)
 
 
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(tie_heavy_matrices(max_k=12))
+def test_agglomerative_matches_the_oracle_on_tie_heavy_input(case):
+    # integer entries: every sum is exact, so each level must match bitwise
+    k, values = case
+    tree = dc.agglomerative_average_link(dc.DissimilarityMatrix(k, values))
+    assert [node_tuple(x) for x in tree.nodes] == average_link(square_from_condensed(k, values))
+
+
 def test_build_hierarchy_rejects_unknown_token(line4):
     with pytest.raises(dc.DivclustError, match="unknown algorithm"):
         dc.build_hierarchy(line4, "k-means")
@@ -234,6 +244,44 @@ def test_json_shape(line4):
     assert len(payload["nodes"]) == 7
     assert payload["nodes"][0] == {"id": 0, "members": [0, 1, 2, 3], "level": 11.0, "children": [1, 2]}
     assert payload["nodes"][3] == {"id": 3, "members": [0], "level": 0.0}
+
+
+def json_in_one_dumps(tree: dc.Dendrogram) -> str:
+    """The reference layout: one indented json.dumps of the whole document."""
+    records = []
+    for node in tree.nodes:
+        rec = {"id": node.id, "members": list(node.members), "level": float(f"{node.level:.9g}")}
+        if node.children is not None:
+            rec["children"] = list(node.children)
+        records.append(rec)
+    return json.dumps({"n": tree.n, "nodes": records}, indent=2)
+
+
+def caterpillar(n: int) -> dc.Dendrogram:
+    """The chain tree: node n merges objects 0 and 1, and each later node adds the next object."""
+    nodes = [dc.DendrogramNode(i, (i,), 0.0) for i in range(n)]
+    nodes.append(dc.DendrogramNode(n, (0, 1), 1 / 7, (0, 1)))
+    for obj in range(2, n):
+        nodes.append(dc.DendrogramNode(len(nodes), tuple(range(obj + 1)), obj / 7, (len(nodes) - 1, obj)))
+    return dc.Dendrogram(n, tuple(nodes))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(tie_heavy_matrices(), st.sampled_from(dc.DEFAULT_ALGORITHMS))
+def test_json_text_keeps_its_layout_on_tie_heavy_trees(case, token):
+    k, values = case
+    tree = dc.build_hierarchy(dc.DissimilarityMatrix(k, values), token)
+    assert dc.tree_to_json(tree) == json_in_one_dumps(tree)
+
+
+def test_json_text_keeps_its_layout_on_a_deep_caterpillar():
+    tree = caterpillar(1100)
+    text = dc.tree_to_json(tree)
+    assert text == json_in_one_dumps(tree)
+    back = dc.tree_from_json(text)
+    assert [(x.members, x.children) for x in back.nodes] == [(x.members, x.children) for x in tree.nodes]
+    assert [x.level for x in back.nodes] == [float(f"{x.level:.9g}") for x in tree.nodes]
+    assert dc.tree_to_json(back) == text
 
 
 def test_json_accepts_shuffled_node_order():
