@@ -149,9 +149,11 @@ def agglomerative_average_link(m: DissimilarityMatrix) -> Dendrogram:
     At every step the two active clusters with the smallest mean
     between-cluster dissimilarity merge, ties resolved toward the
     lexicographically smallest pair of smallest member indices; the merge
-    level is that mean. Row and column i always belong to the cluster whose
-    smallest member is i, so the tables stay in place (merged-away rows and
-    columns are inf) and the row-major first minimum is that tie rule.
+    level is that mean, raised to a child's level where folded-sum rounding
+    put it below (exact average-link means never decrease). Row and column i
+    always belong to the cluster whose smallest member is i, so the tables
+    stay in place (merged-away rows and columns are inf) and the row-major
+    first minimum is that tie rule.
     Between-cluster sums fold on merge, exact up to float association, over
     the table brought into the magnitude window, levels scaled back.
     """
@@ -164,9 +166,10 @@ def agglomerative_average_link(m: DissimilarityMatrix) -> Dendrogram:
     nodes = [DendrogramNode(i, (i,), 0.0) for i in range(n)]
     for _ in range(n - 1):
         p, q = divmod(int(np.argmin(mean)), n)  # first minimum in row-major = lexicographic order
-        level = float(np.ldexp(mean[p, q], shift))
+        children = (node_ids[p], node_ids[q])
+        level = max(float(np.ldexp(mean[p, q], shift)), *(nodes[c].level for c in children))
         members[p] = tuple(sorted(members[p] + members[q]))
-        nodes.append(DendrogramNode(len(nodes), members[p], level, (node_ids[p], node_ids[q])))
+        nodes.append(DendrogramNode(len(nodes), members[p], level, children))
         node_ids[p] = len(nodes) - 1
         cross[p, :] += cross[q, :]
         cross[:, p] += cross[:, q]

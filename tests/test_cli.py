@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import divclust.cli as cli
+from conftest import FOLDED_SUM_TABLE
 
 LINE4_DIST = "0,1,10,11\n1,0,9,10\n10,9,0,1\n11,10,1,0\n"
 LINE4_DATA = "0\n1\n10\n11\n"
@@ -59,6 +60,15 @@ def test_cluster_keeps_the_tree_of_distances_near_the_float_maximum(tmp_path, al
         assert cli.main(["cluster", str(src), "--algo", algo, "--out", str(out)]) == 0
         members.append([node["members"] for node in json.loads(out.read_text())["nodes"]])
     assert members[0] == members[1]
+
+
+def test_cluster_average_link_whose_sums_round_below_a_child(tmp_path):
+    square = np.zeros((8, 8))
+    square[np.triu_indices(8, 1)] = FOLDED_SUM_TABLE
+    src, out = tmp_path / "table.csv", tmp_path / "tree.json"
+    np.savetxt(src, square + square.T, delimiter=",", fmt="%.17g")
+    assert cli.main(["cluster", str(src), "--algo", "average-agglomerative", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["nodes"][-1]["level"] == 0.2  # the root
 
 
 def test_cluster_from_data_csv(tmp_path):

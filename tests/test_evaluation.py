@@ -1,4 +1,6 @@
 import math
+from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -60,9 +62,10 @@ def test_concordance_matches_quadruple_loop(n, data):
 
 
 @pytest.mark.parametrize("n", [24, 40])
-def test_concordance_blocked_scan_matches_loop_on_a_big_matrix(n):
-    # 24 and 40 objects give 276 and 780 pair values: 2 and 4 256-row blocks;
-    # values in {1, 2, 3} put exact ties on both vectors in every block
+def test_concordance_tie_groups_match_loop_on_a_big_matrix(n):
+    # 276 and 780 pair values; values in {1, 2, 3} put long runs of exact
+    # ties on both vectors, so every tie-group term is large and the
+    # inversion count crosses many equal ranks
     m, dvals = random_matrix(300, n)
     u = dc.cophenetic(dc.agglomerative_average_link(m))
     rng = np.random.default_rng(41)
@@ -73,6 +76,41 @@ def test_concordance_blocked_scan_matches_loop_on_a_big_matrix(n):
         assert counts.n_pairs == n * (n - 1) // 2
 
 
+@pytest.fixture(scope="module")
+def large_tied():
+    """n = 1000: 499 500 pair values in {1, ..., 5}, and how many quadruples
+    they leave untied (about 25 billion are tied)."""
+    values = np.random.default_rng(43).integers(1, 6, 1000 * 999 // 2).astype(float)
+    tied = sum(c * (c - 1) // 2 for c in Counter(values.tolist()).values())
+    return values, math.comb(len(values), 2) - tied
+
+
+def test_concordance_at_large_n_with_itself(large_tied):
+    values, untied = large_tied
+    m = dc.DissimilarityMatrix(1000, values)
+    assert dc.concordance(m, m) == dc.ConcordanceCounts(untied, 0, len(values))
+
+
+def test_concordance_at_large_n_under_order_reversal(large_tied):
+    values, untied = large_tied
+    m, flipped = dc.DissimilarityMatrix(1000, values), dc.DissimilarityMatrix(1000, 6.0 - values)
+    assert dc.concordance(m, flipped) == dc.ConcordanceCounts(0, untied, len(values))
+
+
+def test_concordance_at_large_n_against_a_constant(large_tied):
+    values, _ = large_tied
+    m, flat = dc.DissimilarityMatrix(1000, values), dc.DissimilarityMatrix(1000, np.full(len(values), 2.0))
+    assert dc.concordance(m, flat) == dc.ConcordanceCounts(0, 0, len(values))
+    assert dc.concordance(flat, m) == dc.ConcordanceCounts(0, 0, len(values))
+
+
+def test_concordance_matches_loop_on_tie_heavy_vectors_at_n60():
+    rng = np.random.default_rng(47)
+    d, u = (rng.integers(1, 6, 60 * 59 // 2).astype(float).tolist() for _ in range(2))
+    counts = dc.concordance(dc.DissimilarityMatrix(60, d), dc.DissimilarityMatrix(60, u))
+    assert (counts.s_plus, counts.s_minus) == concordance_counts(d, u)
+
+
 def test_concordance_rejects_bad_inputs():
     a, _ = random_matrix(1, 5)
     b, _ = random_matrix(2, 6)
@@ -80,6 +118,13 @@ def test_concordance_rejects_bad_inputs():
         dc.concordance(a, b)
     with pytest.raises(dc.DivclustError):
         dc.concordance(dc.DissimilarityMatrix(2, [1.0]), dc.DissimilarityMatrix(2, [2.0]))
+
+
+def test_concordance_rejects_more_objects_than_its_sort_keys_hold():
+    # refused from the size alone, before the 2^31 pair values are read
+    big = SimpleNamespace(n=65537)
+    with pytest.raises(dc.DivclustError, match="at most 65536 objects"):
+        dc.concordance(big, big)
 
 
 def test_goodman_kruskal_values():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import divclust as dc
-from conftest import DIVISIVE_SPLITTERS, random_matrix, tie_heavy_matrices
+from conftest import DIVISIVE_SPLITTERS, FOLDED_SUM_TABLE, random_matrix, tie_heavy_matrices
 from divclust.benchmark import generate_dataset
 from helpers import average_link, square_from_condensed
 
@@ -180,6 +180,15 @@ def test_agglomerative_matches_the_oracle_on_tie_heavy_input(case):
     k, values = case
     tree = dc.agglomerative_average_link(dc.DissimilarityMatrix(k, values))
     assert [node_tuple(x) for x in tree.nodes] == average_link(square_from_condensed(k, values))
+
+
+def test_agglomerative_keeps_levels_monotone_under_folded_sum_rounding():
+    tree = dc.build_hierarchy(dc.DissimilarityMatrix(8, FOLDED_SUM_TABLE), "average-agglomerative")
+    ints = [round(10 * v) for v in FOLDED_SUM_TABLE]
+    oracle = average_link(square_from_condensed(8, ints))
+    assert [(x.members, x.children) for x in tree.nodes] == [(o[1], o[3]) for o in oracle]
+    assert [x.level for x in tree.nodes] == pytest.approx([0.1 * o[2] for o in oracle], rel=1e-15)
+    assert tree.root.level == tree.nodes[tree.root.children[0]].level == 0.2
 
 
 def test_build_hierarchy_rejects_unknown_token(line4):
