@@ -99,7 +99,7 @@ class CandidateScreen:
         self.k = k
         positive = table[table > 0.0]
         self.bounded = positive.size == 0 or positive.min() >= _SMALLEST_SAFE_ENTRY
-        self.band = 8.0 * (k * k + 2 * k + 16) * np.finfo(float).eps
+        self.band = _relative_band(k)
         self.chunk = max(1, _CHUNK_PRODUCT // (k * k))
         if criterion in _PAIR_SCREENS:
             first, second = pairs
@@ -188,6 +188,11 @@ class CandidateScreen:
         with np.errstate(over="ignore"):
             np.divide(num, den, out=scores, where=den > 0.0)
             return scores, np.where(den > 0.0, self.band * scores, 0.0)
+
+
+def _relative_band(k: int) -> float:
+    """8 * rho, rho = (k^2 + 2k + 16) * eps: the screen's relative band for a k-object table."""
+    return 8.0 * (k * k + 2 * k + 16) * np.finfo(float).eps
 
 
 def _plain_sums(table: np.ndarray, masks: np.ndarray) -> np.ndarray:

@@ -20,6 +20,8 @@ from .splitters import Splitter, parse_splitter, split_mask
 AVERAGE_AGGLOMERATIVE = "average-agglomerative"
 # Splits the clusters that leave the principal-axis splitter no positive eigenvalue.
 _PDDP_FALLBACK = parse_splitter("two-seeds:average")
+# The one bipartition of a 2-member cluster, as every splitter returns it.
+_PAIR_MASK = np.array([True, False])
 
 
 @dataclass(frozen=True)
@@ -110,34 +112,43 @@ def divisive_hierarchy(m: DissimilarityMatrix, splitter: Splitter) -> Dendrogram
     """Top-down hierarchy: split every non-singleton cluster, FIFO order.
 
     Node ids follow creation order with the root at 0; each split appends
-    the canonical-left child first. Each cluster's table is gathered once:
-    it gives the split and the node's level, the table's max, which is the
-    member set's diameter and so makes levels monotone along all paths by
-    construction. If a degenerate cluster leaves the principal-axis splitter
-    without a positive eigenvalue, that cluster falls back to the two-seeds
-    average split.
+    the canonical-left child first. The root splits ``m.square()`` itself,
+    and each child of three or more members is queued with its table,
+    gathered by position from its parent's. A node's level is its table's
+    max, which is the member set's diameter and so makes levels monotone
+    along all paths by construction; the same max sets the splitter's
+    magnitude window. A 2-member cluster has one bipartition, so it takes
+    its level from its one entry and splits without a table. If a
+    degenerate cluster leaves the principal-axis splitter without a positive
+    eigenvalue, that cluster falls back to the two-seeds average split.
     """
-    square = m.square()
-    members_of = [tuple(range(m.n))]
+    members_of = [np.arange(m.n)]
     levels = [0.0] * (2 * m.n - 1)
     children: list[tuple[int, int] | None] = [None] * (2 * m.n - 1)
-    queue: deque[int] = deque([0])
+    # each queued cluster with its table, or None for a pair, whose level is set
+    queue: deque[tuple[int, np.ndarray | None]] = deque([(0, m.square())])
     while queue:
-        nid = queue.popleft()
-        cluster = np.asarray(members_of[nid])
-        sub = square.take(cluster, 0).take(cluster, 1)
-        levels[nid] = float(sub.max())
-        try:
-            mask = split_mask(sub, splitter)
-        except NoPositiveEigenvalueError:
-            mask = split_mask(sub, _PDDP_FALLBACK)
-        for side in (cluster[mask], cluster[~mask]):
-            members_of.append(tuple(side.tolist()))
-            if side.size > 1:
-                queue.append(len(members_of) - 1)
+        nid, sub = queue.popleft()
+        if sub is None:
+            mask = _PAIR_MASK
+        else:
+            levels[nid] = top = float(sub.max())
+            try:
+                mask = split_mask(sub, splitter, top)
+            except NoPositiveEigenvalueError:
+                mask = split_mask(sub, _PDDP_FALLBACK, top)
+        for side in (mask, ~mask):
+            pos = np.flatnonzero(side)
+            members_of.append(members_of[nid][pos])
+            if pos.size == 2:
+                # abs: a -0.0 entry levels at 0.0, as the max over the zero diagonal does
+                levels[len(members_of) - 1] = abs(float(sub[pos[0], pos[1]]))
+                queue.append((len(members_of) - 1, None))
+            elif pos.size > 2:
+                queue.append((len(members_of) - 1, sub.take(pos, 0).take(pos, 1)))
         children[nid] = (len(members_of) - 2, len(members_of) - 1)
     nodes = tuple(
-        DendrogramNode(i, members_of[i], levels[i], children[i])
+        DendrogramNode(i, tuple(members_of[i].tolist()), levels[i], children[i])
         for i in range(len(members_of))
     )
     return Dendrogram(m.n, nodes)
@@ -222,28 +233,33 @@ def cophenetic(tree: Dendrogram) -> DissimilarityMatrix:
 def tree_to_json(tree: Dendrogram) -> str:
     """Serialize a dendrogram; levels keep at most 9 significant digits.
 
-    Equal to ``json.dumps({"n": ..., "nodes": [...]}, indent=2)``, but encoded per
-    record, since on the whole document the indenting encoder holds one string per member.
+    Equal to ``json.dumps({"n": ..., "nodes": [...]}, indent=2)``, but each
+    record is formatted directly: the indenting encoder is pure Python and
+    works element by element.
     """
     records = []
     for node in tree.nodes:
-        rec = {
-            "id": node.id,
-            "members": [int(x) for x in node.members],
-            "level": float(f"{node.level:.9g}"),
-        }
+        members = ",\n        ".join(map(str, map(int, node.members)))
+        # json writes a finite float as its repr
+        rec = (f'{{\n      "id": {node.id},\n      "members": [\n        {members}\n      ],'
+               f'\n      "level": {float(f"{node.level:.9g}")!r}')
         if node.children is not None:
-            rec["children"] = [node.children[0], node.children[1]]
-        records.append(json.dumps(rec, indent=2).replace("\n", "\n    "))
-    records[0] = f'{{\n  "n": {tree.n},\n  "nodes": [\n    {records[0]}'
-    records[-1] += "\n  ]\n}"
-    return ",\n    ".join(records)
+            first, second = node.children
+            rec += f',\n      "children": [\n        {first},\n        {second}\n      ]'
+        records.append(rec + "\n    }")
+    return f'{{\n  "n": {tree.n},\n  "nodes": [\n    ' + ",\n    ".join(records) + "\n  ]\n}"
 
 
 def _as_index(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise DivclustError(f"malformed tree JSON: {what} must be an integer")
     return value
+
+
+def _as_members(values: list) -> tuple[int, ...]:
+    if not set(map(type, values)) <= {int}:  # checked in bulk; a bool's type is bool, not int
+        raise DivclustError("malformed tree JSON: member must be an integer")
+    return tuple(values)
 
 
 def tree_from_json(text: str) -> Dendrogram:
@@ -279,7 +295,7 @@ def tree_from_json(text: str) -> Dendrogram:
         nodes.append(
             DendrogramNode(
                 _as_index(rec["id"], "'id'"),
-                tuple(_as_index(x, "member") for x in members),
+                _as_members(members),
                 float(level),
                 children,
             )

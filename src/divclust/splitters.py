@@ -19,7 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Bipartition, DissimilarityMatrix, _check_range, _into_window, object_set
-from .criteria import CandidateScreen, Criterion, _plain_sums, _side_means, parse_criterion
+from .criteria import (
+    CandidateScreen,
+    Criterion,
+    _plain_sums,
+    _relative_band,
+    _side_means,
+    parse_criterion,
+)
 from .errors import ClusterTooSmallError, DivclustError, NoPositiveEigenvalueError
 
 POWER_ITERATION_TOL = 1e-10
@@ -155,25 +162,101 @@ def macnaughton_smith_split(m: DissimilarityMatrix, members) -> Bipartition:
     return split_cluster(m, members, Splitter(MACNAUGHTON_SMITH))
 
 
-def _gaps(sub: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """a(x) - b(x) of every object under one side mask (positive: nearer the other side)."""
-    masks = mask[None]
-    a, b = _side_means(masks, _plain_sums(sub, masks), _plain_sums(sub, ~masks))
-    return (a - b)[0]
+# Covers the roundings of a(x) and b(x) that fall in the subnormal range, where
+# relative bounds fail; a row of zeros gets none, as its sums and gap are exactly zero.
+_SUBNORMAL_SLACK = 8 * np.finfo(float).smallest_subnormal
+
+
+class _SideSums:
+    """Every object's running sums to the two sides of a mask, and its gap a(x) - b(x).
+
+    :meth:`reset` forms the sums as ``_plain_sums`` does, and the gaps from
+    them through ``_side_means``, so right after a reset they are bitwise the
+    gaps a fresh evaluation gives. :meth:`move` then updates both sums by one
+    row of the table, O(k). Until the next reset each gap stays within its
+    band of the fresh gap at the current mask. All terms are nonnegative, so
+    every partial sum of x's row lies below its total T(x), and each
+    rounding in either summation is at most eps/2 * T(x): the running sums
+    (which start from the totals, themselves a k-term sum) and the plain
+    sums each lie within (k + moves) * eps/2 * T(x) of the exact ones, and
+    the means and their difference add a few eps * T(x). The band,
+    ``_relative_band(k) * T(x)`` plus ``eps * T(x)`` per move, covers that
+    many times over; ``_SUBNORMAL_SLACK`` covers the roundings that fall in
+    the subnormal range. A splitter decides from the running gaps only when
+    the decision is clear of the bands, and resets otherwise.
+    """
+
+    def __init__(self, sub: np.ndarray, totals: np.ndarray):
+        self.sub = sub
+        self.to_left = np.zeros(len(sub))
+        self.to_right = totals.copy()
+        self.exact = False  # whether the sums are the plain sums of the current mask
+        self.moves = 0
+        self._band = _relative_band(len(sub)) * totals
+        self._step = np.finfo(float).eps * totals
+        self._band += np.where(totals > 0.0, _SUBNORMAL_SLACK, 0.0)
+
+    def reset(self, mask: np.ndarray) -> None:
+        masks = mask[None]
+        self.to_left = _plain_sums(self.sub, masks)[0]
+        self.to_right = _plain_sums(self.sub, ~masks)[0]
+        self.exact = True
+        self.moves = 0
+
+    def move(self, x: int, mask: np.ndarray) -> None:
+        """Move object x to the other side of ``mask``, in place."""
+        row = self.sub[x]  # x's dissimilarities, by symmetry its column
+        if mask[x]:
+            self.to_left -= row
+            self.to_right += row
+        else:
+            self.to_left += row
+            self.to_right -= row
+        mask[x] = not mask[x]
+        self.exact = False
+        self.moves += 1
+
+    def gaps(self, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every object's gap under ``mask`` and its band (zero while exact)."""
+        a, b = _side_means(mask[None], self.to_left[None], self.to_right[None])
+        if self.exact:
+            return (a - b)[0], np.zeros(len(mask))
+        return (a - b)[0], self._band + self.moves * self._step
 
 
 def _macnaughton_smith_mask(sub: np.ndarray) -> np.ndarray:
-    """Splinter-group mask of a cluster's table."""
+    """Splinter-group mask of a cluster's table.
+
+    The sums start from the seed's row: to the splinter, row s; to the rest,
+    the row totals minus row s. Each move updates them by one row. The peel
+    stops when every remaining gap plus its band is at most zero, and moves
+    the first largest gap j when j's gap minus its band is positive and above
+    every other remaining gap plus its band. Otherwise the sums are reset to
+    the plain sums and the choice is made from exact gaps, so it is the one a
+    fresh evaluation of every gap would make.
+    """
     k = len(sub)
+    totals = sub.sum(axis=1)
     mask = np.zeros(k, dtype=bool)
-    mask[int(np.argmax(sub.sum(axis=1) / (k - 1)))] = True
+    sums = _SideSums(sub, totals)
+    sums.move(int(np.argmax(totals / (k - 1))), mask)
     while True:
-        gap = _gaps(sub, mask)
+        gap, band = sums.gaps(mask)
         gap[mask] = -np.inf
         j = int(np.argmax(gap))
-        if not gap[j] > 0.0:
-            return mask
-        mask[j] = True
+        if sums.exact:
+            if not gap[j] > 0.0:
+                return mask
+        else:
+            upper = gap + band
+            if not (upper > 0.0).any():
+                return mask
+            lower = gap[j] - band[j]
+            upper[j] = -np.inf
+            if not (lower > 0.0 and lower > upper.max()):
+                sums.reset(mask)
+                continue
+        sums.move(j, mask)
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,25 +346,44 @@ def pddp_split(m: DissimilarityMatrix, members) -> Bipartition:
 
 
 def _pddp_mask(sub: np.ndarray) -> np.ndarray:
-    """Refined principal-axis mask of a cluster's table, negative side True."""
+    """Refined principal-axis mask of a cluster's table, negative side True.
+
+    Each pass scans for the next object whose gap plus its band is positive
+    (every object before it stays) and moves it when its gap minus its band
+    is positive too. Otherwise the sums are reset to the plain sums and that
+    object is decided again from its exact gap, so every decision is the one
+    a fresh evaluation of the gaps would make.
+    """
     k = len(sub)
     mask = _sides_from_coords(_pcoa_axis(sub).coords)
+    sums = _SideSums(sub, sub.sum(axis=1))
+    sums.reset(mask)
     for _ in range(k):
         moved = False
-        gap = _gaps(sub, mask)
-        for x in range(k):
-            if gap[x] > 0.0:
-                mask[x] = not mask[x]
+        x = 0
+        while x < k:
+            gap, band = sums.gaps(mask)
+            ahead = np.flatnonzero(gap[x:] + band[x:] > 0.0)
+            if not ahead.size:
+                break
+            x += int(ahead[0])
+            if gap[x] - band[x] > 0.0:
+                sums.move(x, mask)
                 moved = True
-                gap = _gaps(sub, mask)
+                x += 1
+            else:
+                sums.reset(mask)
         if not moved:
             break
     return mask
 
 
-def split_mask(sub: np.ndarray, splitter: Splitter) -> np.ndarray:
-    """One splitter on a cluster's k-by-k table: True marks the side holding its first member."""
-    sub = _into_window(sub)[0]  # exact, so every splitter decides alike at every scale
+def split_mask(sub: np.ndarray, splitter: Splitter, top: float | None = None) -> np.ndarray:
+    """One splitter on a cluster's k-by-k table: True marks the side holding its first member.
+
+    ``top`` is the table's max, when the caller has already taken it.
+    """
+    sub = _into_window(sub, top)[0]  # exact, so every splitter decides alike at every scale
     if splitter.kind == TWO_SEEDS:
         mask = _two_seeds_mask(sub, splitter.criterion)
     elif splitter.kind == MACNAUGHTON_SMITH:

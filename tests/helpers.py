@@ -1,14 +1,23 @@
 """Independently coded reference implementations for cross-checking.
 
-Everything here sticks to plain Python loops and the stdlib so these
-oracles cannot share a vectorization bug with the production code. Tests
-freeze oracle outputs or compare them directly against the package.
+The oracles stick to plain Python loops and the stdlib so they cannot
+share a vectorization bug with the production code. Tests freeze oracle
+outputs or compare them directly against the package.
+
+The float references (``float_gaps`` and the two loops after it) are the
+exception: they keep the splitters' former numpy loops, which evaluate every
+gap afresh from plain sums at each decision, so tests can require the
+incremental splitters to choose bitwise alike on inputs whose sums round.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+
+import numpy as np
+
+from divclust.criteria import _plain_sums, _side_means
 
 # Packed pair values for points 0, 1, 10, 11 on a line:
 # pairs (0,1), (0,2), (0,3), (1,2), (1,3), (2,3).
@@ -114,6 +123,49 @@ def pddp_refinement(s, left):
         if not moved:
             break
     return left
+
+
+def float_gaps(sub, mask):
+    """a(x) - b(x) of every object under one side mask, from plain sums of the table."""
+    masks = mask[None]
+    a, b = _side_means(masks, _plain_sums(sub, masks), _plain_sums(sub, ~masks))
+    return (a - b)[0]
+
+
+def macnaughton_smith_float(sub):
+    """Splinter-group mask of a table: the peel with every gap evaluated afresh."""
+    k = len(sub)
+    mask = np.zeros(k, dtype=bool)
+    mask[int(np.argmax(sub.sum(axis=1) / (k - 1)))] = True
+    while True:
+        gap = float_gaps(sub, mask)
+        gap[mask] = -np.inf
+        j = int(np.argmax(gap))
+        if not gap[j] > 0.0:
+            return mask
+        mask[j] = True
+
+
+def pddp_refinement_float(sub, start):
+    """PDDP's refinement of the side mask ``start``, every gap evaluated afresh.
+
+    Returns the final mask and the number of passes that moved an object.
+    """
+    k = len(sub)
+    mask = start.copy()
+    passes = 0
+    for _ in range(k):
+        moved = False
+        gap = float_gaps(sub, mask)
+        for x in range(k):
+            if gap[x] > 0.0:
+                mask[x] = not mask[x]
+                moved = True
+                gap = float_gaps(sub, mask)
+        if not moved:
+            break
+        passes += 1
+    return mask, passes
 
 
 def score(token, s, a, b):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -105,6 +106,33 @@ def test_divisive_levels_are_diameters(token):
             except dc.NoPositiveEigenvalueError:
                 split = dc.split_cluster(m, node.members, fallback)
             assert (split.left, split.right) == tuple(tree.nodes[c].members for c in node.children)
+
+
+def test_macnaughton_smith_peels_a_caterpillar_into_a_chain():
+    # d(a, b) = max of the two positions: an ultrametric whose only tree is a
+    # chain, each node's level the largest position among its members
+    n = 300
+    rank = np.random.default_rng(300).permutation(n)
+    square = np.maximum(rank[:, None], rank[None, :]).astype(float)
+    np.fill_diagonal(square, 0.0)
+    tree = dc.build_hierarchy(dc.validate_matrix(square), "macnaughton-smith")
+    for node in tree.nodes:
+        if node.children is None:
+            continue
+        ms = list(node.members)
+        assert node.level == float(square[np.ix_(ms, ms)].max()) == rank[ms].max()
+        assert min(len(tree.nodes[c].members) for c in node.children) == 1
+
+
+def test_pair_level_of_a_negative_zero_entry_is_zero():
+    # -0.0 passes the nonnegativity check; a pair levels at +0.0, as the max
+    # of its table with the zero diagonal does, so the JSON text is unchanged
+    tree = dc.build_hierarchy(dc.DissimilarityMatrix(3, [-0.0, 1.0, 1.0]), "two-seeds:average")
+    pair = next(node for node in tree.nodes if len(node.members) == 2)
+    assert math.copysign(1.0, pair.level) == 1.0
+    assert dc.tree_to_json(tree) == dc.tree_to_json(
+        dc.build_hierarchy(dc.DissimilarityMatrix(3, [0.0, 1.0, 1.0]), "two-seeds:average")
+    )
 
 
 SCALES = (400, -400, 530, -530, 1017)

@@ -8,11 +8,19 @@ from hypothesis import strategies as st
 import divclust as dc
 from conftest import DIVISIVE_SPLITTERS, random_matrix, tie_heavy_matrices
 from divclust.criteria import CandidateScreen
-from divclust.splitters import _pcoa_axis, _pddp_mask, _sides_from_coords, split_mask
+from divclust.splitters import (
+    _macnaughton_smith_mask,
+    _pcoa_axis,
+    _pddp_mask,
+    _sides_from_coords,
+    split_mask,
+)
 from helpers import (
     CRITERIA,
+    macnaughton_smith_float,
     macnaughton_smith_peel,
     pddp_refinement,
+    pddp_refinement_float,
     score,
     square_from_condensed,
     two_seeds_best,
@@ -228,6 +236,17 @@ def test_macnaughton_smith_matches_the_oracle_on_tie_heavy_input(case):
     assert got == dc.Bipartition(tuple(splinter), tuple(rest))
 
 
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(tie_heavy_matrices(min_k=3, max_k=24))
+def test_macnaughton_smith_matches_the_float_reference_when_ties_round_apart(case):
+    # entries times 0.1: gaps that tie exactly differ in their last bits by an
+    # amount that depends on summation order, so running sums must defer to
+    # fresh ones wherever the choice is that close
+    k, values = case
+    sub = dc.DissimilarityMatrix(k, [0.1 * v for v in values]).square()
+    assert np.array_equal(_macnaughton_smith_mask(sub), macnaughton_smith_float(sub))
+
+
 def test_pcoa_line4_recovers_line_coordinates(line4):
     axis = dc.pcoa_first_axis(line4, range(4))
     assert np.allclose(axis.coords, [-5.5, -4.5, 4.5, 5.5], atol=1e-8)
@@ -304,6 +323,36 @@ def test_pddp_refinement_matches_the_oracle_on_tie_heavy_input(case):
         return
     want = pddp_refinement(square_from_condensed(k, values), np.flatnonzero(start).tolist())
     assert np.flatnonzero(_pddp_mask(sub)).tolist() == sorted(want)
+
+
+def refined_masks(sub):
+    """The refinement's mask and the float reference's (with its pass count) from one start."""
+    start = _sides_from_coords(_pcoa_axis(sub).coords)
+    return _pddp_mask(sub), *pddp_refinement_float(sub, start)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(tie_heavy_matrices(min_k=3, max_k=24))
+def test_pddp_refinement_matches_the_float_reference_when_ties_round_apart(case):
+    k, values = case
+    sub = dc.DissimilarityMatrix(k, [0.1 * v for v in values]).square()
+    try:
+        got, want, _ = refined_masks(sub)
+    except dc.NoPositiveEigenvalueError:
+        return
+    assert np.array_equal(got, want)
+
+
+def test_pddp_refinement_that_reaches_the_pass_cap_matches_the_float_reference():
+    # a 4-member cluster of a default benchmark table whose refinement still
+    # moves an object in each of its k passes
+    sub = dc.DissimilarityMatrix(4, [
+        0.96828445560887, 0.8919075294909657, 1.0928408557590328,
+        0.9801397830093386, 0.9551893830612952, 0.8166313653493721,
+    ]).square()
+    got, want, passes = refined_masks(sub)
+    assert passes == 4
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.filterwarnings("error")

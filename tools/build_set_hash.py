@@ -12,7 +12,12 @@ tables come from fixed seeds:
   (every third one has zero blocks), where distinct partitions tie exactly;
 * ``non-dyadic`` - the same tables times 0.1, where those ties differ in
   their last bits by an amount that depends on summation order;
-* ``mixture`` - 150 points around 5 Gaussian centres in 10 dimensions.
+* ``mixture`` - 150 points around 5 Gaussian centres in 10 dimensions;
+* ``large`` - only ``macnaughton-smith``, ``pddp`` and ``two-seeds:average``,
+  on 300 points around the same centres and on a 400-leaf caterpillar, where
+  d(a, b) is the larger of the two objects' chain positions. On the
+  caterpillar every split peels one object, so two-seeds runs on the
+  mixture only: its k^4 search per split would take minutes there.
 
 A build that raises contributes its error's class name and message instead.
 
@@ -42,6 +47,7 @@ from divclust import (
     generate_dataset,
     to_newick,
     tree_to_json,
+    validate_matrix,
 )
 
 
@@ -68,19 +74,35 @@ def integer_values() -> list[tuple[int, np.ndarray]]:
     return tables
 
 
-def mixture_table():
+def mixture_table(per_centre: int):
     rng = np.random.default_rng(7)
     centres = rng.uniform(-6.0, 6.0, (5, 10))
-    return euclidean_from_data(np.concatenate([c + rng.normal(size=(30, 10)) for c in centres]))
+    return euclidean_from_data(
+        np.concatenate([c + rng.normal(size=(per_centre, 10)) for c in centres])
+    )
 
 
-def families() -> dict[str, list[DissimilarityMatrix]]:
+def caterpillar_table(n: int):
+    rank = np.random.default_rng(n).permutation(n)
+    square = np.maximum(rank[:, None], rank[None, :]).astype(float)
+    np.fill_diagonal(square, 0.0)
+    return validate_matrix(square)
+
+
+LARGE_SPLITTERS = ("macnaughton-smith", "pddp")
+LARGE_ALGORITHMS = LARGE_SPLITTERS + ("two-seeds:average",)
+
+
+def families() -> dict[str, list[tuple[DissimilarityMatrix, tuple[str, ...]]]]:
+    """Each family's tables, each with the algorithm tokens it is built with."""
     integer = integer_values()
+    every = tuple(DEFAULT_ALGORITHMS)
     return {
-        "grid": grid_tables(),
-        "integer": [DissimilarityMatrix(k, values) for k, values in integer],
-        "non-dyadic": [DissimilarityMatrix(k, values * 0.1) for k, values in integer],
-        "mixture": [mixture_table()],
+        "grid": [(m, every) for m in grid_tables()],
+        "integer": [(DissimilarityMatrix(k, values), every) for k, values in integer],
+        "non-dyadic": [(DissimilarityMatrix(k, values * 0.1), every) for k, values in integer],
+        "mixture": [(mixture_table(30), every)],
+        "large": [(mixture_table(60), LARGE_ALGORITHMS), (caterpillar_table(400), LARGE_SPLITTERS)],
     }
 
 
@@ -102,13 +124,14 @@ def main() -> None:
     args = parser.parse_args()
     for family, tables in families().items():
         digest = hashlib.sha256()
-        for index, m in enumerate(tables):
-            for token in DEFAULT_ALGORITHMS:
+        for index, (m, tokens) in enumerate(tables):
+            for token in tokens:
                 record = build_record(m, token)
                 digest.update(f"{index} {token}\0".encode() + record + b"\0")
                 if args.each:
                     print(family, index, token, hashlib.sha256(record).hexdigest()[:16])
-        print(f"{family}: {len(tables) * len(DEFAULT_ALGORITHMS)} builds {digest.hexdigest()}")
+        builds = sum(len(tokens) for _, tokens in tables)
+        print(f"{family}: {builds} builds {digest.hexdigest()}")
 
 
 if __name__ == "__main__":
