@@ -228,7 +228,7 @@ def cluster_stats(
     aa = object_set(a)
     _check_range(aa, m.n)
     square = m.square()
-    within = square[np.ix_(aa, aa)][np.triu_indices(len(aa), 1)]
+    within = square.take(aa, 0).take(aa, 1)[np.triu_indices(len(aa), 1)]
     # a singleton has no within pairs: diameter and mean are zero
     stats = (float(within.max(initial=0.0)), float(within.mean()) if within.size else 0.0)
     if b is None:
@@ -237,7 +237,7 @@ def cluster_stats(
     _check_range(bb, m.n)
     if set(aa) & set(bb):
         raise OverlappingSetsError("clusters share objects")
-    cross = square[np.ix_(aa, bb)]
+    cross = square.take(aa, 0).take(bb, 1)
     return ClusterStats(*stats, float(cross.min()), float(cross.max()), float(cross.mean()))
 
 

@@ -237,7 +237,7 @@ def _union_table(m: DissimilarityMatrix, b: Bipartition) -> tuple[np.ndarray, in
     """The table of ``b``'s union brought into the magnitude window, its shift, and the left mask."""
     _check_range(b.members, m.n)
     union = np.asarray(b.members, dtype=int)
-    table, shift = _into_window(m.square()[np.ix_(union, union)])
+    table, shift = _into_window(m.square().take(union, 0).take(union, 1))
     return table, shift, np.isin(union, b.left)
 
 

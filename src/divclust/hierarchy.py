@@ -74,16 +74,18 @@ def _validate_dendrogram(n: int, nodes: tuple[DendrogramNode, ...]) -> tuple[int
             raise DivclustError("node ids must be 0..2n-2 in storage order")
         if not node.members:
             raise DivclustError("node has no members")
-        if any(a >= b for a, b in zip(node.members, node.members[1:])):
-            raise DivclustError("node members must be strictly ascending")
         if node.members[0] < 0 or node.members[-1] >= n:
             raise DivclustError("node members out of range")
         if not np.isfinite(node.level) or node.level < 0.0:
             raise DivclustError("node level must be finite and nonnegative")
-    # Children partition their parent, so the walk reaches no node twice and
-    # reaches all of them exactly when the tree is whole.
+    # No node is empty, so a child has fewer members than its parent and the
+    # walk ends. Children partition their parent, so it reaches no node twice,
+    # and all of them exactly when the tree is whole; with the root 0..n-1,
+    # every node it reaches is then strictly ascending.
     preorder: list[int] = []
     stack = [node.id for node in nodes if len(node.members) == n][:1]
+    if stack and nodes[stack[0]].members != tuple(range(n)):
+        raise DivclustError("node members must be strictly ascending")
     while stack:
         node = nodes[stack.pop()]
         preorder.append(node.id)

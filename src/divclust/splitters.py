@@ -76,7 +76,7 @@ def _cluster_submatrix(m: DissimilarityMatrix, members) -> tuple[np.ndarray, np.
     if len(ms) < 2:
         raise ClusterTooSmallError("cannot split a singleton")
     idx = np.asarray(ms, dtype=int)
-    return idx, m.square()[np.ix_(idx, idx)]
+    return idx, m.square().take(idx, 0).take(idx, 1)
 
 
 def _pair_masks(sub: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -170,20 +170,20 @@ _SUBNORMAL_SLACK = 8 * np.finfo(float).smallest_subnormal
 class _SideSums:
     """Every object's running sums to the two sides of a mask, and its gap a(x) - b(x).
 
-    :meth:`reset` forms the sums as ``_plain_sums`` does, and the gaps from
-    them through ``_side_means``, so right after a reset they are bitwise the
-    gaps a fresh evaluation gives. :meth:`move` then updates both sums by one
-    row of the table, O(k). Until the next reset each gap stays within its
-    band of the fresh gap at the current mask. All terms are nonnegative, so
-    every partial sum of x's row lies below its total T(x), and each
-    rounding in either summation is at most eps/2 * T(x): the running sums
-    (which start from the totals, themselves a k-term sum) and the plain
-    sums each lie within (k + moves) * eps/2 * T(x) of the exact ones, and
-    the means and their difference add a few eps * T(x). The band,
-    ``_relative_band(k) * T(x)`` plus ``eps * T(x)`` per move, covers that
-    many times over; ``_SUBNORMAL_SLACK`` covers the roundings that fall in
-    the subnormal range. A splitter decides from the running gaps only when
-    the decision is clear of the bands, and resets otherwise.
+    :meth:`reset` forms the sums as ``_plain_sums`` does and zeroes every
+    band, so the gaps are then bitwise the fresh ones. :meth:`move` updates
+    both sums by one table row, O(k). Until the next reset each gap stays
+    within its fixed band of the fresh gap: ``_relative_band(k) * T(x)``,
+    T(x) being x's row total, plus ``_SUBNORMAL_SLACK`` for the roundings
+    in the subnormal range. All terms are nonnegative, so each rounding of a
+    sum over x's row is at most eps/2 * T(x). After m moves the running sums
+    (from zero and the k-term totals) lie within (k + m) * eps/2 * T(x) of
+    the exact ones, the plain sums within k * eps/2 * T(x), and the means
+    and their difference add three roundings to each gap: the two gaps
+    differ by at most (2k + m + 3) * eps * T(x). The loops make m <= k^2
+    between resets (the peel moves each object at most once; the refinement
+    makes at most k passes of at most k moves), so the band's
+    8 * (k^2 + 2k + 16) * eps covers that eightfold.
     """
 
     def __init__(self, sub: np.ndarray, totals: np.ndarray):
@@ -191,9 +191,7 @@ class _SideSums:
         self.to_left = np.zeros(len(sub))
         self.to_right = totals.copy()
         self.exact = False  # whether the sums are the plain sums of the current mask
-        self.moves = 0
         self._band = _relative_band(len(sub)) * totals
-        self._step = np.finfo(float).eps * totals
         self._band += np.where(totals > 0.0, _SUBNORMAL_SLACK, 0.0)
 
     def reset(self, mask: np.ndarray) -> None:
@@ -201,7 +199,6 @@ class _SideSums:
         self.to_left = _plain_sums(self.sub, masks)[0]
         self.to_right = _plain_sums(self.sub, ~masks)[0]
         self.exact = True
-        self.moves = 0
 
     def move(self, x: int, mask: np.ndarray) -> None:
         """Move object x to the other side of ``mask``, in place."""
@@ -214,14 +211,11 @@ class _SideSums:
             self.to_right -= row
         mask[x] = not mask[x]
         self.exact = False
-        self.moves += 1
 
     def gaps(self, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Every object's gap under ``mask`` and its band (zero while exact)."""
         a, b = _side_means(mask[None], self.to_left[None], self.to_right[None])
-        if self.exact:
-            return (a - b)[0], np.zeros(len(mask))
-        return (a - b)[0], self._band + self.moves * self._step
+        return (a - b)[0], np.zeros(len(mask)) if self.exact else self._band
 
 
 def _macnaughton_smith_mask(sub: np.ndarray) -> np.ndarray:
@@ -232,8 +226,8 @@ def _macnaughton_smith_mask(sub: np.ndarray) -> np.ndarray:
     stops when every remaining gap plus its band is at most zero, and moves
     the first largest gap j when j's gap minus its band is positive and above
     every other remaining gap plus its band. Otherwise the sums are reset to
-    the plain sums and the choice is made from exact gaps, so it is the one a
-    fresh evaluation of every gap would make.
+    the plain sums, whose zero bands make the same test the exact one (stop
+    when no gap is positive, else move j), as a fresh evaluation makes it.
     """
     k = len(sub)
     totals = sub.sum(axis=1)
@@ -243,19 +237,16 @@ def _macnaughton_smith_mask(sub: np.ndarray) -> np.ndarray:
     while True:
         gap, band = sums.gaps(mask)
         gap[mask] = -np.inf
+        upper = gap + band
+        if not (upper > 0.0).any():
+            return mask
         j = int(np.argmax(gap))
-        if sums.exact:
-            if not gap[j] > 0.0:
-                return mask
-        else:
-            upper = gap + band
-            if not (upper > 0.0).any():
-                return mask
-            lower = gap[j] - band[j]
-            upper[j] = -np.inf
-            if not (lower > 0.0 and lower > upper.max()):
-                sums.reset(mask)
-                continue
+        lower = gap[j] - band[j]
+        upper[j] = -np.inf
+        # exact gaps move j even when a later gap ties it
+        if not (lower > 0.0 and lower > upper.max()) and not sums.exact:
+            sums.reset(mask)
+            continue
         sums.move(j, mask)
 
 

@@ -1,5 +1,7 @@
 import json
 import math
+import signal
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -404,6 +406,51 @@ def test_structural_validation_rejects_bad_trees():
                 leaf(4, 2),
             ),
         )
+
+
+@contextmanager
+def within_seconds(seconds: float):
+    """Fail with TimeoutError instead of hanging past ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"did not finish within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_validation_walk_rejects_disordered_repeated_and_cyclic_nodes():
+    # only the root's order is checked directly; the partition check must
+    # catch disorder and repeats below it
+    disordered = (
+        dc.DendrogramNode(0, (0, 1, 2), 2.0, (1, 2)),
+        dc.DendrogramNode(1, (1, 0), 1.0, (3, 4)),
+        leaf(2, 2),
+        leaf(3, 0),
+        leaf(4, 1),
+    )
+    repeated = (
+        dc.DendrogramNode(0, (0, 1, 2), 2.0, (1, 2)),
+        dc.DendrogramNode(1, (0, 0), 1.0, (3, 4)),
+        leaf(2, 2),
+        leaf(3, 0),
+        leaf(4, 0),
+    )
+    # beside an empty sibling a node partitions itself; only the non-empty
+    # check keeps the walk from revisiting it forever
+    cyclic = (dc.DendrogramNode(0, (0, 1), 1.0, (0, 1)), dc.DendrogramNode(1, (), 0.0), leaf(2, 1))
+    with within_seconds(2.0):
+        with pytest.raises(dc.DivclustError, match="partition"):
+            dc.Dendrogram(3, disordered)
+        with pytest.raises(dc.DivclustError, match="partition"):
+            dc.Dendrogram(3, repeated)
+        with pytest.raises(dc.DivclustError, match="no members"):
+            dc.Dendrogram(2, cyclic)
 
 
 def test_newick_line4(line4):

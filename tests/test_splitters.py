@@ -10,6 +10,7 @@ from conftest import DIVISIVE_SPLITTERS, random_matrix, tie_heavy_matrices
 from divclust.criteria import CandidateScreen
 from divclust.splitters import (
     _macnaughton_smith_mask,
+    _SideSums,
     _pcoa_axis,
     _pddp_mask,
     _sides_from_coords,
@@ -17,6 +18,7 @@ from divclust.splitters import (
 )
 from helpers import (
     CRITERIA,
+    float_gaps,
     macnaughton_smith_float,
     macnaughton_smith_peel,
     pddp_refinement,
@@ -245,6 +247,33 @@ def test_macnaughton_smith_matches_the_float_reference_when_ties_round_apart(cas
     k, values = case
     sub = dc.DissimilarityMatrix(k, [0.1 * v for v in values]).square()
     assert np.array_equal(_macnaughton_smith_mask(sub), macnaughton_smith_float(sub))
+
+
+@st.composite
+def moves_without_reset(draw):
+    """A tie-heavy table times 0.1, a start mask and up to k^2 moves."""
+    k, values = draw(tie_heavy_matrices(min_k=3, max_k=24))
+    start = draw(st.lists(st.booleans(), min_size=k, max_size=k))
+    count = draw(st.integers(0, k * k))
+    moves = draw(st.lists(st.integers(0, k - 1), min_size=count, max_size=count))
+    return dc.DissimilarityMatrix(k, [0.1 * v for v in values]).square(), np.array(start), moves
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(moves_without_reset())
+def test_running_gaps_stay_within_their_bands_for_up_to_k_squared_moves(case):
+    # the splitters' loops make at most k^2 moves between two resets, so the
+    # fixed bands must hold that long
+    sub, mask, moves = case
+    mask[0] = not mask[-1]  # both sides non-empty
+    sums = _SideSums(sub, sub.sum(axis=1))
+    sums.reset(mask)
+    for x in moves:
+        if np.count_nonzero(mask == mask[x]) == 1:
+            continue  # x's side would be left empty
+        sums.move(x, mask)
+        gap, band = sums.gaps(mask)
+        assert (np.abs(gap - float_gaps(sub, mask)) <= band).all()
 
 
 def test_pcoa_line4_recovers_line_coordinates(line4):

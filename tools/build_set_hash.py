@@ -21,6 +21,10 @@ tables come from fixed seeds:
 
 A build that raises contributes its error's class name and message instead.
 
+A sixth digest, ``cophenetic``, runs over every build of every family and
+takes each tree's cophenetic values as their exact float64 bytes, so a
+rewrite of ``cophenetic`` can prove it gives bitwise the same values.
+
 Run from the repository root:
 
     PYTHONPATH=src python tools/build_set_hash.py [--each]
@@ -106,32 +110,39 @@ def families() -> dict[str, list[tuple[DissimilarityMatrix, tuple[str, ...]]]]:
     }
 
 
-def build_record(m: DissimilarityMatrix, token: str) -> bytes:
-    """Every output of one build, as bytes."""
+def build_record(m: DissimilarityMatrix, token: str) -> tuple[bytes, bytes]:
+    """Every output of one build, as bytes, and its exact cophenetic values."""
     try:
         tree = build_hierarchy(m, token)
-        counts = concordance(m, cophenetic(tree))
+        values = cophenetic(tree)
+        counts = concordance(m, values)
     except DivclustError as exc:
-        return f"{type(exc).__name__}: {exc}".encode()
+        error = f"{type(exc).__name__}: {exc}".encode()
+        return error, error
     parts = (tree_to_json(tree), to_newick(tree), dendrogram_svg(tree),
              f"{counts.s_plus} {counts.s_minus}")
-    return "\0".join(parts).encode()
+    return "\0".join(parts).encode(), values.condensed.astype("<f8").tobytes()
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--each", action="store_true", help="also print one digest per build")
     args = parser.parse_args()
+    values_digest = hashlib.sha256()
+    total = 0
     for family, tables in families().items():
         digest = hashlib.sha256()
         for index, (m, tokens) in enumerate(tables):
             for token in tokens:
-                record = build_record(m, token)
+                record, values = build_record(m, token)
                 digest.update(f"{index} {token}\0".encode() + record + b"\0")
+                values_digest.update(f"{family} {index} {token}\0".encode() + values + b"\0")
                 if args.each:
                     print(family, index, token, hashlib.sha256(record).hexdigest()[:16])
         builds = sum(len(tokens) for _, tokens in tables)
+        total += builds
         print(f"{family}: {builds} builds {digest.hexdigest()}")
+    print(f"cophenetic: {total} builds {values_digest.hexdigest()}")
 
 
 if __name__ == "__main__":
