@@ -137,9 +137,14 @@ def validate_matrix(raw: np.ndarray | Sequence[Sequence[float]]) -> Dissimilarit
     upper = arr[iu]
     lower = arr.T[iu]
     tol = SYMMETRY_RTOL * np.maximum(1.0, np.abs(upper))
-    if (np.abs(upper - lower) > tol).any():
-        raise AsymmetricMatrixError("matrix is asymmetric beyond tolerance")
-    return DissimilarityMatrix(n, (upper + lower) / 2.0)
+    with np.errstate(over="ignore"):  # an overflowing difference is inf, beyond any tolerance
+        if (np.abs(upper - lower) > tol).any():
+            raise AsymmetricMatrixError("matrix is asymmetric beyond tolerance")
+        mean = (upper + lower) / 2.0
+    # a pair whose sum overflows is averaged from halves, which cannot
+    big = np.isinf(mean)
+    mean[big] = upper[big] / 2.0 + lower[big] / 2.0
+    return DissimilarityMatrix(n, mean)
 
 
 def euclidean_from_data(data: np.ndarray | Sequence[Sequence[float]]) -> DissimilarityMatrix:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DissimilarityMatrix
+from .core import DissimilarityMatrix, _into_window
 from .errors import DegenerateGKError, DivclustError, SizeMismatchError, ZeroVarianceError
 
 # P = n(n-1)/2 below 2^31 keeps every sort key of the count within int64
@@ -119,11 +119,18 @@ def kendall_tau(counts: ConcordanceCounts) -> float:
 
 
 def cpcc(d: DissimilarityMatrix, u: DissimilarityMatrix) -> float:
-    """Pearson correlation between the two packed value vectors."""
+    """Pearson correlation between the two packed value vectors.
+
+    Each vector is first brought into the magnitude window by an exact power
+    of two, which leaves the correlation bitwise unchanged, so the sums of
+    squares neither overflow nor underflow.
+    """
     if d.n != u.n:
         raise SizeMismatchError(f"matrix sizes differ: {d.n} vs {u.n}")
-    x = d.condensed - d.condensed.mean()
-    y = u.condensed - u.condensed.mean()
+    dv = _into_window(d.condensed)[0]
+    uv = _into_window(u.condensed)[0]
+    x = dv - dv.mean()
+    y = uv - uv.mean()
     sx = float(x @ x)
     sy = float(y @ y)
     if sx == 0.0 or sy == 0.0:

@@ -4,10 +4,12 @@ The oracles stick to plain Python loops and the stdlib so they cannot
 share a vectorization bug with the production code. Tests freeze oracle
 outputs or compare them directly against the package.
 
-The float references (``float_gaps`` and the two loops after it) are the
-exception: they keep the splitters' former numpy loops, which evaluate every
-gap afresh from plain sums at each decision, so tests can require the
-incremental splitters to choose bitwise alike on inputs whose sums round.
+The float references (``float_gaps`` and the two loops after it, and
+``average_link_float``) are the exception: they keep the former numpy loops
+of the splitters, which evaluate every gap afresh from plain sums at each
+decision, and of the average-link baseline, which scans the whole table of
+means for each merge. So tests can require the incremental code to choose
+bitwise alike on inputs whose sums round.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import math
 
 import numpy as np
 
+from divclust.core import _into_window
 from divclust.criteria import _plain_sums, _side_means
 
 # Packed pair values for points 0, 1, 10, 11 on a line:
@@ -250,6 +253,35 @@ def average_link(s):
         nodes.append((len(nodes), tuple(sorted(nodes[a][1] + nodes[b][1])), level, (a, b)))
         active[active.index(a)] = len(nodes) - 1
         active.remove(b)
+    return nodes
+
+
+def average_link_float(m):
+    """Average link over a DissimilarityMatrix, one full-table argmin per merge.
+
+    Returns (id, members, level, children) tuples like ``average_link``. The
+    sums fold and the means divide as in the package, and the first minimum
+    of the whole upper-triangle table in row-major order merges.
+    """
+    n = m.n
+    nodes = [(i, (i,), 0.0, None) for i in range(n)]
+    node_ids = list(range(n))
+    sizes = np.ones(n)
+    cross, shift = _into_window(m.square().copy())
+    mean = np.where(np.tri(n, dtype=bool), np.inf, cross)
+    for _ in range(n - 1):
+        p, q = divmod(int(np.argmin(mean)), n)
+        children = (node_ids[p], node_ids[q])
+        level = max(float(np.ldexp(mean[p, q], shift)), *(nodes[c][2] for c in children))
+        members = tuple(sorted(nodes[children[0]][1] + nodes[children[1]][1]))
+        nodes.append((len(nodes), members, level, children))
+        node_ids[p] = len(nodes) - 1
+        cross[p, :] += cross[q, :]
+        cross[:, p] += cross[:, q]
+        sizes[p] += sizes[q]
+        cross[q, :] = cross[:, q] = mean[q, :] = mean[:, q] = np.inf
+        mean[p, p + 1:] = cross[p, p + 1:] / (sizes[p] * sizes[p + 1:])
+        mean[:p, p] = cross[:p, p] / (sizes[:p] * sizes[p])
     return nodes
 
 

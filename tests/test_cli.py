@@ -1,10 +1,12 @@
 import json
+import math
 import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
+import divclust as dc
 import divclust.cli as cli
 from conftest import FOLDED_SUM_TABLE
 
@@ -60,6 +62,21 @@ def test_cluster_keeps_the_tree_of_distances_near_the_float_maximum(tmp_path, al
         assert cli.main(["cluster", str(src), "--algo", algo, "--out", str(out)]) == 0
         members.append([node["members"] for node in json.loads(out.read_text())["nodes"]])
     assert members[0] == members[1]
+
+
+@pytest.mark.parametrize("algo", dc.DEFAULT_ALGORITHMS)
+def test_every_algorithm_clusters_and_scores_a_table_near_the_float_maximum(tmp_path, capsys, algo):
+    # most entries exceed 9e307, where the plain mirror average overflows
+    points = np.random.default_rng(12).normal(size=(12, 3))
+    table = np.sqrt(((points[:, None] - points[None]) ** 2).sum(axis=-1))
+    src, out = tmp_path / "big.csv", tmp_path / "big.json"
+    np.savetxt(src, table / table.max() * 1.7e308, delimiter=",", fmt="%.17g")
+    assert cli.main(["cluster", str(src), "--algo", algo, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert cli.main(["eval", "--tree", str(out), "--input", str(src), "--metrics", "gk,tau,cpcc"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()]
+    assert [name for name, _ in rows] == ["gk", "tau", "cpcc"]
+    assert all(math.isfinite(float(value)) for _, value in rows)
 
 
 def test_cluster_average_link_whose_sums_round_below_a_child(tmp_path):

@@ -42,6 +42,33 @@ def test_validate_matrix_averages_mirror_entries_within_tolerance():
     assert m.value(0, 1) == pytest.approx(1.0, abs=1e-15)
 
 
+def test_validate_matrix_averages_mirror_entries_near_the_float_maximum():
+    # (upper + lower) / 2 overflows above about 9e307: such a pair is averaged
+    # from halves, and every other pair keeps its plain average bit for bit
+    top = 1.7e308
+    near = float(np.nextafter(top, 0.0))
+    raw = np.array([[0.0, top, 0.3, 5e307], [near, 0.0, 0.7, top], [0.3 + 1e-12, 0.7, 0.0, 2.0],
+                    [5e307, top, 2.0, 0.0]])
+    m = dc.validate_matrix(raw)
+    assert m.value(0, 1) == top / 2.0 + near / 2.0
+    assert m.value(1, 3) == top
+    assert m.value(0, 2) == (0.3 + (0.3 + 1e-12)) / 2.0
+    assert m.value(0, 3) == 5e307
+    assert (m.value(1, 2), m.value(2, 3)) == (0.7, 2.0)
+
+
+def test_validate_matrix_rejects_mirror_entries_whose_difference_overflows():
+    with pytest.raises(dc.AsymmetricMatrixError):
+        dc.validate_matrix([[0.0, 1.7e308], [-1.7e308, 0.0]])
+
+
+def test_runtime_warnings_are_errors_under_pytest():
+    # the magnitude tests rely on it: an overflow that only warns would pass
+    # here and still crash a run under -W error
+    with pytest.raises(RuntimeWarning):
+        np.add(np.array([1.7e308]), np.array([1.7e308]))
+
+
 @pytest.mark.parametrize(
     "raw, err",
     [

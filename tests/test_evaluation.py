@@ -174,6 +174,21 @@ def test_cpcc_perfect_for_affine_images():
     assert dc.cpcc(m, shifted) == pytest.approx(1.0, rel=1e-12)
 
 
+def test_cpcc_is_scale_free_at_extreme_magnitudes():
+    # without the magnitude window the squares overflow to nan at 2^1000 and
+    # 1e300 and underflow to a "constant vector" at 2^-600 and 1e-200
+    m = dc.euclidean_from_data(np.random.default_rng(12).normal(size=(12, 3)))
+    u = dc.cophenetic(dc.build_hierarchy(m, "average-agglomerative"))
+    base = dc.cpcc(m, u)
+    for ed, eu in ((600, 600), (-600, -600), (600, -600), (1000, 0), (-600, 1000)):
+        scaled_d = dc.DissimilarityMatrix(12, np.ldexp(m.condensed, ed))
+        scaled_u = dc.DissimilarityMatrix(12, np.ldexp(u.condensed, eu))
+        assert dc.cpcc(scaled_d, scaled_u) == base  # power-of-two scaling is exact
+    for factor in (1e300, 1e-200):
+        scaled = dc.DissimilarityMatrix(12, m.condensed * factor)
+        assert dc.cpcc(scaled, u) == pytest.approx(base, rel=1e-12)
+
+
 def test_cpcc_rejects_degenerate_inputs():
     m, _ = random_matrix(31, 4)
     flat = dc.DissimilarityMatrix(4, [1.0] * 6)

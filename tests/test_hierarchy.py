@@ -5,13 +5,14 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import divclust as dc
 from conftest import DIVISIVE_SPLITTERS, FOLDED_SUM_TABLE, random_matrix, tie_heavy_matrices
 from divclust.benchmark import generate_dataset
-from helpers import average_link, square_from_condensed
+from divclust.hierarchy import _SLICE_FLOOR, _child_table
+from helpers import average_link, average_link_float, square_from_condensed
 
 ALGORITHMS = [
     "two-seeds:complete",
@@ -219,6 +220,56 @@ def test_agglomerative_keeps_levels_monotone_under_folded_sum_rounding():
     assert [(x.members, x.children) for x in tree.nodes] == [(o[1], o[3]) for o in oracle]
     assert [x.level for x in tree.nodes] == pytest.approx([0.1 * o[2] for o in oracle], rel=1e-15)
     assert tree.root.level == tree.nodes[tree.root.children[0]].level == 0.2
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(tie_heavy_matrices(min_k=3, max_k=60), st.sampled_from([1.0, 0.1]))
+# a merged mean that rounds to tie a row's cached minimum from a later column
+# must take the row over, as the scan's first minimum does
+@example((8, [2, 0, 1, 1, 3, 1, 0, 3, 3, 1, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 2, 3, 0, 1, 3, 0, 0, 2]), 0.1)
+def test_agglomerative_matches_the_full_table_scan_bitwise(case, scale):
+    # integer means tie exactly; times 0.1, tied means differ in their last
+    # bits by summation order, so the cached row minima must follow the scan
+    k, values = case
+    m = dc.DissimilarityMatrix(k, [scale * v for v in values])
+    tree = dc.agglomerative_average_link(m)
+    assert [node_tuple(x) for x in tree.nodes] == average_link_float(m)
+
+
+def test_agglomerative_matches_the_full_table_scan_on_a_1100_leaf_caterpillar():
+    n = 1100
+    rank = np.random.default_rng(1100).permutation(n)
+    square = np.maximum(rank[:, None], rank[None, :]).astype(float)
+    np.fill_diagonal(square, 0.0)
+    m = dc.validate_matrix(square)
+    tree = dc.agglomerative_average_link(m)
+    assert [node_tuple(x) for x in tree.nodes] == average_link_float(m)
+
+
+@pytest.mark.parametrize("size", [_SLICE_FLOOR - 1, _SLICE_FLOOR, _SLICE_FLOOR + 1])
+@pytest.mark.parametrize(
+    "dropped, runs",
+    [
+        ((0, 1, 2, 3), 1),
+        ((-4, -3, -2, -1), 1),
+        ((0, 1, 2, 50), 2),
+        ((50, -3, -2, -1), 2),
+        ((0, 40, 41, -1), 2),
+        ((10, 11, 60, 61), 3),
+        ((10, 60, 110, -1), 4),
+        ((10, 60, 110, 150), 5),
+    ],
+)
+def test_child_table_is_the_copy_two_takes_make(size, dropped, runs):
+    k = size + len(dropped)
+    sub = np.random.default_rng(size).uniform(0.0, 1.0, (k, k))
+    sub[5, 7] = -0.0  # a sign only a bitwise comparison sees
+    pos = np.delete(np.arange(k), [d % k for d in dropped])
+    assert 1 + np.count_nonzero(np.diff(pos) != 1) == runs
+    child = _child_table(sub, pos)
+    twin = sub.take(pos, 0).take(pos, 1)
+    assert child.flags.c_contiguous and child.dtype == twin.dtype
+    assert child.shape == twin.shape and child.tobytes() == twin.tobytes()
 
 
 def test_build_hierarchy_rejects_unknown_token(line4):
