@@ -15,13 +15,26 @@ import numpy as np
 
 from .core import DissimilarityMatrix, _into_window, condensed_size
 from .errors import DivclustError, NoPositiveEigenvalueError
-from .splitters import Splitter, parse_splitter, split_mask
+from .splitters import (
+    MACNAUGHTON_SMITH,
+    Splitter,
+    _Carried,
+    _macnaughton_smith_mask,
+    parse_splitter,
+    split_mask,
+)
 
 AVERAGE_AGGLOMERATIVE = "average-agglomerative"
 # Splits the clusters that leave the principal-axis splitter no positive eigenvalue.
 _PDDP_FALLBACK = parse_splitter("two-seeds:average")
 # The one bipartition of a 2-member cluster, as every splitter returns it.
 _PAIR_MASK = np.array([True, False])
+# A child of fewer members gathers its table rather than peel from carried
+# row totals. On a 2-vCPU VM (numpy 2.4) a peel's start from a gathered
+# table took 20-27 us against 28-35 us from carried totals at 8-64 members
+# of 40- and 150-object tables, and 50-1274 us against 34-40 us at 64-512
+# members of an 1100-object table.
+_CARRY_FLOOR = 64
 
 
 @dataclass(frozen=True)
@@ -110,72 +123,75 @@ def _validate_dendrogram(n: int, nodes: tuple[DendrogramNode, ...]) -> tuple[int
     return tuple(preorder)
 
 
-# A child of at least _SLICE_FLOOR members whose positions form at most
-# _SLICE_RUNS contiguous runs is copied as slice blocks. Against two takes, on
-# a 2-vCPU VM (numpy 2.4), slices won by 3.4x or more from 192 to 1100 members
-# with 1-4 runs, and lost by up to 2.4x at 112-128; in between, it depended on
-# the runs.
-_SLICE_FLOOR = 192
-_SLICE_RUNS = 4
-
-
-def _child_table(sub: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    """``sub.take(pos, 0).take(pos, 1)``: the same C-ordered copy, by slices when cheaper."""
-    if pos.size >= _SLICE_FLOOR:
-        starts = np.flatnonzero(np.diff(pos) != 1) + 1
-        if starts.size < _SLICE_RUNS:
-            bounds = [0, *starts.tolist(), pos.size]
-            spans = [(slice(a, b), slice(int(pos[a]), int(pos[a]) + b - a))
-                     for a, b in zip(bounds, bounds[1:])]
-            child = np.empty((pos.size, pos.size))
-            for rows, from_rows in spans:
-                for cols, from_cols in spans:
-                    child[rows, cols] = sub[from_rows, from_cols]
-            return child
-    return sub.take(pos, 0).take(pos, 1)
-
-
 def divisive_hierarchy(m: DissimilarityMatrix, splitter: Splitter) -> Dendrogram:
     """Top-down hierarchy: split every non-singleton cluster, FIFO order.
 
     Node ids follow creation order with the root at 0; each split appends
-    the canonical-left child first. The root splits ``m.square()`` itself,
-    and each child of three or more members is queued with its table,
-    gathered by position from its parent's (``_child_table``: by slice
-    blocks when the positions form a few long runs, as a peel leaves them,
-    else by two takes). A node's level is its table's max, which is the
-    member set's diameter and so makes levels monotone along all paths by
-    construction; the same max sets the splitter's magnitude window. A
-    2-member cluster has one bipartition, so it takes its level from its one
-    entry and splits without a table. If a degenerate cluster leaves the
-    principal-axis splitter without a positive eigenvalue, that cluster falls
-    back to the two-seeds average split.
+    the canonical-left child first. A 2-member cluster has one bipartition
+    and splits without a table. The two-seeds and principal-axis splitters
+    split each larger cluster's table, gathered from ``m.square()`` by
+    position. The MacNaughton-Smith peel reads the square's rows at the
+    cluster's positions, one row per move, and hands each child its objects'
+    running sums to that child as its row totals, with their error bounds
+    (``splitters._macnaughton_smith_mask``), so a cluster's k-by-k table is
+    gathered only where those bounds cannot decide, or where the child has
+    fewer than ``_CARRY_FLOOR`` members and a gather costs less. If a degenerate cluster
+    leaves the principal-axis splitter without a positive eigenvalue, that
+    cluster falls back to the two-seeds average split.
+
+    Levels are set bottom-up after the splits: a node's level is the larger
+    of its children's levels and the max of the block between them, gathered
+    by the smaller side's rows. That is the member set's diameter, so levels
+    are monotone along all paths by construction, and each pair is read
+    once, at its smallest common node. A -0.0 entry levels at +0.0, as the
+    max over a table with a zero diagonal does.
     """
+    square = m.square()
+    peel = splitter.kind == MACNAUGHTON_SMITH
     members_of = [np.arange(m.n)]
-    levels = [0.0] * (2 * m.n - 1)
     children: list[tuple[int, int] | None] = [None] * (2 * m.n - 1)
-    # each queued cluster with its table, or None for a pair, whose level is set
-    queue: deque[tuple[int, np.ndarray | None]] = deque([(0, m.square())])
+    # each queued cluster with the row totals the peel carries to it, if any
+    queue: deque[tuple[int, _Carried | None]] = deque([(0, None)])
     while queue:
-        nid, sub = queue.popleft()
-        if sub is None:
+        nid, carried = queue.popleft()
+        idx = members_of[nid]
+        carry = None
+        if idx.size == 2:
             mask = _PAIR_MASK
+        elif peel:
+            mask, carry = _macnaughton_smith_mask(square, idx if nid else None, carried)
+            if not mask[0]:
+                mask = ~mask
         else:
-            levels[nid] = top = float(sub.max())
+            sub = square.take(idx, 0).take(idx, 1) if nid else square
             try:
-                mask = split_mask(sub, splitter, top)
+                mask = split_mask(sub, splitter)
             except NoPositiveEigenvalueError:
-                mask = split_mask(sub, _PDDP_FALLBACK, top)
+                mask = split_mask(sub, _PDDP_FALLBACK)
         for side in (mask, ~mask):
             pos = np.flatnonzero(side)
-            members_of.append(members_of[nid][pos])
+            members_of.append(idx[pos])
             if pos.size == 2:
-                # abs: a -0.0 entry levels at 0.0, as the max over the zero diagonal does
-                levels[len(members_of) - 1] = abs(float(sub[pos[0], pos[1]]))
                 queue.append((len(members_of) - 1, None))
             elif pos.size > 2:
-                queue.append((len(members_of) - 1, _child_table(sub, pos)))
+                handed = None
+                if carry is not None and pos.size >= _CARRY_FLOOR:
+                    handed = (carry[0][pos], carry[1][pos])
+                queue.append((len(members_of) - 1, handed))
         children[nid] = (len(members_of) - 2, len(members_of) - 1)
+    levels = [0.0] * len(members_of)
+    for nid in range(len(members_of) - 1, -1, -1):
+        if children[nid] is None:
+            continue
+        first, second = children[nid]
+        small, large = members_of[first], members_of[second]
+        if small.size > large.size:
+            small, large = large, small
+        if large.size == 1:  # a pair's block is its one entry
+            cross = square[small[0], large[0]]
+        else:
+            cross = square.take(small, 0).take(large, 1).max()
+        levels[nid] = max(levels[first], levels[second], float(cross))
     nodes = tuple(
         DendrogramNode(i, tuple(members_of[i].tolist()), levels[i], children[i])
         for i in range(len(members_of))
@@ -297,9 +313,10 @@ def tree_to_json(tree: Dendrogram) -> str:
     record is formatted directly: the indenting encoder is pure Python and
     works element by element.
     """
+    names = [str(i) for i in range(tree.n)]  # every member is an index below n
     records = []
     for node in tree.nodes:
-        members = ",\n        ".join(map(str, map(int, node.members)))
+        members = ",\n        ".join(map(names.__getitem__, node.members))
         # json writes a finite float as its repr
         rec = (f'{{\n      "id": {node.id},\n      "members": [\n        {members}\n      ],'
                f'\n      "level": {float(f"{node.level:.9g}")!r}')

@@ -18,7 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Bipartition, DissimilarityMatrix, _check_range, _into_window, object_set
+from .core import (
+    _WINDOW,
+    Bipartition,
+    DissimilarityMatrix,
+    _check_range,
+    _into_window,
+    object_set,
+)
 from .criteria import (
     CandidateScreen,
     Criterion,
@@ -165,44 +172,78 @@ def macnaughton_smith_split(m: DissimilarityMatrix, members) -> Bipartition:
 # Covers the roundings of a(x) and b(x) that fall in the subnormal range, where
 # relative bounds fail; a row of zeros gets none, as its sums and gap are exactly zero.
 _SUBNORMAL_SLACK = 8 * np.finfo(float).smallest_subnormal
+_EPS = float(np.finfo(float).eps)
 
 
 class _SideSums:
     """Every object's running sums to the two sides of a mask, and its gap a(x) - b(x).
 
-    :meth:`reset` forms the sums as ``_plain_sums`` does and zeroes every
-    band, so the gaps are then bitwise the fresh ones. :meth:`move` updates
-    both sums by one table row, O(k). Until the next reset each gap stays
-    within its fixed band of the fresh gap: ``_relative_band(k) * T(x)``,
-    T(x) being x's row total, plus ``_SUBNORMAL_SLACK`` for the roundings
-    in the subnormal range. All terms are nonnegative, so each rounding of a
-    sum over x's row is at most eps/2 * T(x). After m moves the running sums
-    (from zero and the k-term totals) lie within (k + m) * eps/2 * T(x) of
-    the exact ones, the plain sums within k * eps/2 * T(x), and the means
-    and their difference add three roundings to each gap: the two gaps
-    differ by at most (2k + m + 3) * eps * T(x). The loops make m <= k^2
-    between resets (the peel moves each object at most once; the refinement
-    makes at most k passes of at most k moves), so the band's
-    8 * (k^2 + 2k + 16) * eps covers that eightfold.
+    The cluster's table is ``table`` itself, or given ``idx`` its rows and
+    columns at those positions, which are gathered one row per move.
+    ``totals`` are the row totals, either the plain sums of the rows
+    (``err`` None) or sums carried from the parent's peel within ``err`` of
+    the exact ones; T(x) is ``totals + err``, at least the exact total.
+
+    :meth:`reset` forms the sums as ``_plain_sums`` does, from the gathered
+    table, and zeroes every band, so the gaps are then bitwise the fresh
+    ones. :meth:`move` updates both sums by one row, O(k). Until the next
+    reset each gap stays within its fixed band of the fresh gap:
+    ``_relative_band(k) * T(x) + err(x)``, plus ``_SUBNORMAL_SLACK`` for the
+    roundings in the subnormal range. All terms are nonnegative, so each
+    rounding of a sum over x's row is at most eps/2 * T(x). After m moves the
+    running sums (from zero and the k-term totals) lie within
+    err(x) + (k + m) * eps/2 * T(x) of the exact ones, the plain sums within
+    k * eps/2 * T(x), and the means and their difference add three roundings
+    to each gap: the two gaps differ by at most
+    err(x) + (2k + m + 3) * eps * T(x). The loops make m <= k^2 between
+    resets (the peel moves each object at most once; the refinement makes at
+    most k passes of at most k moves), so the band's relative part,
+    8 * (k^2 + 2k + 16) * eps, covers the rest eightfold.
     """
 
-    def __init__(self, sub: np.ndarray, totals: np.ndarray):
-        self.sub = sub
-        self.to_left = np.zeros(len(sub))
+    def __init__(
+        self,
+        table: np.ndarray,
+        totals: np.ndarray,
+        idx: np.ndarray | None = None,
+        err: np.ndarray | None = None,
+    ):
+        k = len(totals)
+        self.table = table
+        self.idx = idx
+        self.to_left = np.zeros(k)
         self.to_right = totals.copy()
         self.exact = False  # whether the sums are the plain sums of the current mask
-        self._band = _relative_band(len(sub)) * totals
-        self._band += np.where(totals > 0.0, _SUBNORMAL_SLACK, 0.0)
+        self.upper = totals if err is None else totals + err
+        self.band = _relative_band(k) * self.upper
+        if err is not None:
+            self.band += err
+        np.add(self.band, _SUBNORMAL_SLACK, out=self.band, where=self.upper > 0.0)
+        # the sums lie within _start + moves * eps * T of the exact ones; None:
+        # the k-term plain sums' k * eps * T
+        self._start = err
+        self._moves = 0
+
+    def row(self, x: int) -> np.ndarray:
+        """x's dissimilarities to the cluster, by symmetry its column."""
+        if self.idx is None:
+            return self.table[x]
+        return self.table[self.idx[x]].take(self.idx)
 
     def reset(self, mask: np.ndarray) -> None:
+        if self.idx is not None:
+            self.table = self.table.take(self.idx, 0).take(self.idx, 1)
+            self.idx = None
         masks = mask[None]
-        self.to_left = _plain_sums(self.sub, masks)[0]
-        self.to_right = _plain_sums(self.sub, ~masks)[0]
+        self.to_left = _plain_sums(self.table, masks)[0]
+        self.to_right = _plain_sums(self.table, ~masks)[0]
         self.exact = True
+        self._start = None
+        self._moves = 0
 
     def move(self, x: int, mask: np.ndarray) -> None:
         """Move object x to the other side of ``mask``, in place."""
-        row = self.sub[x]  # x's dissimilarities, by symmetry its column
+        row = self.row(x)
         if mask[x]:
             self.to_left -= row
             self.to_right += row
@@ -211,15 +252,66 @@ class _SideSums:
             self.to_right -= row
         mask[x] = not mask[x]
         self.exact = False
+        self._moves += 1
 
     def gaps(self, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Every object's gap under ``mask`` and its band (zero while exact)."""
         a, b = _side_means(mask[None], self.to_left[None], self.to_right[None])
-        return (a - b)[0], np.zeros(len(mask)) if self.exact else self._band
+        return (a - b)[0], np.zeros(len(mask)) if self.exact else self.band
+
+    def own_totals(self, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every object's sum to its own side of ``mask``, and a bound on its error."""
+        # each move's rounding is at most eps/2 * (T + the error so far) <= eps * T
+        if self._start is None:
+            err = (len(mask) + self._moves) * _EPS * self.upper
+        else:
+            err = self._start + self._moves * _EPS * self.upper
+        return np.where(mask, self.to_left, self.to_right), err
 
 
-def _macnaughton_smith_mask(sub: np.ndarray) -> np.ndarray:
-    """Splinter-group mask of a cluster's table.
+# Row totals a cluster carries from its parent's peel, and their error bounds.
+_Carried = tuple[np.ndarray, np.ndarray]
+
+
+def _carried_seed(
+    square: np.ndarray, idx: np.ndarray, carried: _Carried
+) -> tuple[_SideSums, int] | None:
+    """The side sums and seed of a cluster from its carried totals.
+
+    None when they cannot stand in for a fresh table: an error bound exceeds
+    ``_relative_band(k)`` times its total, which would more than double the
+    band, or the cluster's max may lie below the magnitude window. (Totals are
+    only carried from tables that needed no scaling, whose max bounds the
+    cluster's from above.)
+    """
+    totals, err = carried
+    k = idx.size
+    if (err > _relative_band(k) * totals).any():
+        return None
+    sums = _SideSums(square, totals, idx, err)
+    # a fresh sum lies within the carried bound plus its own rounding, which
+    # the band covers
+    low = (totals - sums.band) / (k - 1)
+    best_low = float(low.max())  # a row's mean is at most the cluster's max
+    if not best_low >= 2.0 * _WINDOW[0]:
+        return None
+    # the first largest fresh mean is among the objects whose bounds reach the
+    # best lower bound; a gathered row's sum is bitwise the gathered table's
+    contenders = np.flatnonzero((totals + sums.band) / (k - 1) >= best_low).tolist()
+    means = [sums.row(x).sum() / (k - 1) for x in contenders]
+    return sums, contenders[means.index(max(means))]
+
+
+def _macnaughton_smith_mask(
+    square: np.ndarray, idx: np.ndarray | None = None, carried: _Carried | None = None
+) -> tuple[np.ndarray, _Carried | None]:
+    """Splinter-group mask of a cluster, and what its objects carry to their sides.
+
+    The cluster is ``square`` itself when ``idx`` is None, else its rows and
+    columns at positions ``idx``. From ``carried`` totals (see
+    :func:`_carried_seed`) no k-by-k table is formed unless the sums reset;
+    else the table is gathered, brought into the magnitude window and its
+    rows summed, and the first largest mean row total seeds the splinter.
 
     The sums start from the seed's row: to the splinter, row s; to the rest,
     the row totals minus row s. Each move updates them by one row. The peel
@@ -228,18 +320,26 @@ def _macnaughton_smith_mask(sub: np.ndarray) -> np.ndarray:
     every other remaining gap plus its band. Otherwise the sums are reset to
     the plain sums, whose zero bands make the same test the exact one (stop
     when no gap is positive, else move j), as a fresh evaluation makes it.
+
+    Returns the mask, True on the splinter, and every object's sum to its
+    own side with its error bound, or None where the table had to be scaled.
     """
-    k = len(sub)
-    totals = sub.sum(axis=1)
-    mask = np.zeros(k, dtype=bool)
-    sums = _SideSums(sub, totals)
-    sums.move(int(np.argmax(totals / (k - 1))), mask)
+    start = None if carried is None else _carried_seed(square, idx, carried)
+    shift = 0
+    if start is None:
+        table = square if idx is None else square.take(idx, 0).take(idx, 1)
+        table, shift = _into_window(table)
+        totals = table.sum(axis=1)
+        start = _SideSums(table, totals), int(np.argmax(totals / (len(table) - 1)))
+    sums, seed = start
+    mask = np.zeros(len(sums.to_left), dtype=bool)
+    sums.move(seed, mask)
     while True:
         gap, band = sums.gaps(mask)
         gap[mask] = -np.inf
         upper = gap + band
         if not (upper > 0.0).any():
-            return mask
+            return mask, None if shift else sums.own_totals(mask)
         j = int(np.argmax(gap))
         lower = gap[j] - band[j]
         upper[j] = -np.inf
@@ -369,18 +469,18 @@ def _pddp_mask(sub: np.ndarray) -> np.ndarray:
     return mask
 
 
-def split_mask(sub: np.ndarray, splitter: Splitter, top: float | None = None) -> np.ndarray:
+def split_mask(sub: np.ndarray, splitter: Splitter) -> np.ndarray:
     """One splitter on a cluster's k-by-k table: True marks the side holding its first member.
 
-    ``top`` is the table's max, when the caller has already taken it.
+    Each splitter decides on the table brought into the magnitude window,
+    which is exact, so it decides alike at every scale.
     """
-    sub = _into_window(sub, top)[0]  # exact, so every splitter decides alike at every scale
-    if splitter.kind == TWO_SEEDS:
-        mask = _two_seeds_mask(sub, splitter.criterion)
-    elif splitter.kind == MACNAUGHTON_SMITH:
-        mask = _macnaughton_smith_mask(sub)
+    if splitter.kind == MACNAUGHTON_SMITH:
+        mask = _macnaughton_smith_mask(sub)[0]
+    elif splitter.kind == TWO_SEEDS:
+        mask = _two_seeds_mask(_into_window(sub)[0], splitter.criterion)
     else:
-        mask = _pddp_mask(sub)
+        mask = _pddp_mask(_into_window(sub)[0])
     return mask if mask[0] else ~mask
 
 

@@ -4,11 +4,12 @@ The oracles stick to plain Python loops and the stdlib so they cannot
 share a vectorization bug with the production code. Tests freeze oracle
 outputs or compare them directly against the package.
 
-The float references (``float_gaps`` and the two loops after it, and
+The float references (``float_gaps`` and the three loops after it, and
 ``average_link_float``) are the exception: they keep the former numpy loops
 of the splitters, which evaluate every gap afresh from plain sums at each
-decision, and of the average-link baseline, which scans the whole table of
-means for each merge. So tests can require the incremental code to choose
+decision, of the MacNaughton-Smith tree, which gathers every node's table,
+and of the average-link baseline, which scans the whole table of means for
+each merge. So tests can require the incremental code to choose
 bitwise alike on inputs whose sums round.
 """
 
@@ -147,6 +148,39 @@ def macnaughton_smith_float(sub):
         if not gap[j] > 0.0:
             return mask
         mask[j] = True
+
+
+def macnaughton_smith_tree_float(m):
+    """The MacNaughton-Smith tree of a DissimilarityMatrix, one full table per node.
+
+    Returns (id, members, level, children) tuples like ``average_link``.
+    Clusters split in FIFO order, each from its own gathered table brought
+    into the magnitude window, by ``macnaughton_smith_float``; the side
+    holding the cluster's first member becomes the first child. A node's
+    level is the max of its table (+0.0 for a table of zeros).
+    """
+    square = m.square()
+    members_of = [np.arange(m.n)]
+    levels = {}
+    children = {}
+    queue = [0]
+    for nid in queue:
+        idx = members_of[nid]
+        if idx.size < 2:
+            continue
+        sub = square.take(idx, 0).take(idx, 1)
+        levels[nid] = max(0.0, float(sub.max()))
+        mask = macnaughton_smith_float(_into_window(sub)[0])
+        if not mask[0]:
+            mask = ~mask
+        for side in (mask, ~mask):
+            members_of.append(idx[side])
+            queue.append(len(members_of) - 1)
+        children[nid] = (len(members_of) - 2, len(members_of) - 1)
+    return [
+        (i, tuple(members.tolist()), levels.get(i, 0.0), children.get(i))
+        for i, members in enumerate(members_of)
+    ]
 
 
 def pddp_refinement_float(sub, start):

@@ -2,6 +2,7 @@ import json
 import math
 import signal
 from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,9 +11,14 @@ from hypothesis import strategies as st
 
 import divclust as dc
 from conftest import DIVISIVE_SPLITTERS, FOLDED_SUM_TABLE, random_matrix, tie_heavy_matrices
+from divclust import hierarchy
 from divclust.benchmark import generate_dataset
-from divclust.hierarchy import _SLICE_FLOOR, _child_table
-from helpers import average_link, average_link_float, square_from_condensed
+from helpers import (
+    average_link,
+    average_link_float,
+    macnaughton_smith_tree_float,
+    square_from_condensed,
+)
 
 ALGORITHMS = [
     "two-seeds:complete",
@@ -138,6 +144,101 @@ def test_pair_level_of_a_negative_zero_entry_is_zero():
     )
 
 
+@pytest.mark.parametrize("token", [s.token for s in DIVISIVE_SPLITTERS])
+def test_levels_of_negative_zero_entries_are_positive_zero(token):
+    # a 3-member cluster whose entries are all -0.0 levels at +0.0, as the max
+    # over its table with the zero diagonal does
+    tree = dc.build_hierarchy(dc.DissimilarityMatrix(4, [-0.0, -0.0, 1.0, -0.0, 1.0, 1.0]), token)
+    zero = next(node for node in tree.nodes if node.members == (0, 1, 2))
+    assert [math.copysign(1.0, tree.nodes[i].level) for i in zero.children] == [1.0, 1.0]
+    assert math.copysign(1.0, zero.level) == 1.0
+
+
+def caterpillar_matrix(n: int) -> dc.DissimilarityMatrix:
+    """d(a, b) is the larger of the two objects' chain positions."""
+    rank = np.random.default_rng(n).permutation(n)
+    square = np.maximum(rank[:, None], rank[None, :]).astype(float)
+    np.fill_diagonal(square, 0.0)
+    return dc.validate_matrix(square)
+
+
+def mixed_magnitude_matrix(seed: int, k: int = 16, block: int = 6) -> dc.DissimilarityMatrix:
+    """Entries near 1 around a block of objects whose mutual entries are near 1e-200."""
+    rng = np.random.default_rng(seed)
+    table = np.triu(rng.integers(1, 4, (k, k)) * 0.1 + 1.0, 1)
+    picked = np.sort(rng.choice(k, block, replace=False))
+    table[np.ix_(picked, picked)] *= 1e-200
+    return dc.validate_matrix(np.triu(table, 1) + np.triu(table, 1).T)
+
+
+def carrying_every_child():
+    """Children of every size peel from carried row totals, not only large ones."""
+    return mock.patch.object(hierarchy, "_CARRY_FLOOR", 3)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(tie_heavy_matrices(min_k=3, max_k=60), st.sampled_from([1.0, 0.1]))
+def test_macnaughton_smith_tree_matches_the_full_table_loop_bitwise(case, scale):
+    # children peel from carried row totals; times 0.1, tied gaps and means
+    # differ in their last bits, so every seed and move must still be the one
+    # a fresh evaluation of the child's own table makes
+    k, values = case
+    m = dc.DissimilarityMatrix(k, [scale * v for v in values])
+    expected = macnaughton_smith_tree_float(m)
+    assert [node_tuple(x) for x in dc.build_hierarchy(m, "macnaughton-smith").nodes] == expected
+    with carrying_every_child():
+        tree = dc.build_hierarchy(m, "macnaughton-smith")
+    assert [node_tuple(x) for x in tree.nodes] == expected
+
+
+def test_macnaughton_smith_tree_matches_the_full_table_loop_on_a_400_leaf_caterpillar():
+    m = caterpillar_matrix(400)
+    tree = dc.build_hierarchy(m, "macnaughton-smith")
+    assert [node_tuple(x) for x in tree.nodes] == macnaughton_smith_tree_float(m)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("seed", range(6))
+def test_macnaughton_smith_tree_matches_the_full_table_loop_across_magnitudes(seed):
+    # the block's clusters fall below the magnitude window, so they are
+    # split from their own tables brought into it, not from carried totals
+    m = mixed_magnitude_matrix(seed)
+    with carrying_every_child():
+        tree = dc.build_hierarchy(m, "macnaughton-smith")
+    assert any(len(x.members) > 2 and 0.0 < x.level < 2.0**-160 for x in tree.nodes)
+    assert [node_tuple(x) for x in tree.nodes] == macnaughton_smith_tree_float(m)
+
+
+# Integer table times 0.1 whose rows 1 and 3 both sum to 1.9: row 3's float
+# total is the larger, but both means round to the same value, so the first
+# largest mean seeds object 1.
+MEAN_TIE_TABLE = 0.1 * np.array([
+    [0, 3, 4, 3, 2, 3, 2],
+    [3, 0, 2, 4, 4, 3, 3],
+    [4, 2, 0, 4, 3, 2, 3],
+    [3, 4, 4, 0, 1, 3, 4],
+    [2, 4, 3, 1, 0, 2, 3],
+    [3, 3, 2, 3, 2, 0, 2],
+    [2, 3, 3, 4, 3, 2, 0],
+])
+
+
+def test_macnaughton_smith_seeds_the_first_largest_mean_not_total():
+    totals = MEAN_TIE_TABLE.sum(axis=1)
+    assert np.argmax(totals) == 3 and np.argmax(totals / 6) == 1
+    split = dc.macnaughton_smith_split(dc.validate_matrix(MEAN_TIE_TABLE), range(7))
+    assert split == dc.Bipartition((0, 3, 4, 5, 6), (1, 2))
+    # an eighth object at 1.0 from all peels off alone, and the seven are then
+    # seeded from the totals they carry, which must be compared as means too
+    table = np.ones((8, 8))
+    table[:7, :7] = MEAN_TIE_TABLE
+    np.fill_diagonal(table, 0.0)
+    with carrying_every_child():
+        tree = dc.build_hierarchy(dc.validate_matrix(table), "macnaughton-smith")
+    seven = next(node for node in tree.nodes if node.members == tuple(range(7)))
+    assert [tree.nodes[c].members for c in seven.children] == [(0, 3, 4, 5, 6), (1, 2)]
+
+
 SCALES = (400, -400, 530, -530, 1017)
 
 
@@ -244,32 +345,6 @@ def test_agglomerative_matches_the_full_table_scan_on_a_1100_leaf_caterpillar():
     m = dc.validate_matrix(square)
     tree = dc.agglomerative_average_link(m)
     assert [node_tuple(x) for x in tree.nodes] == average_link_float(m)
-
-
-@pytest.mark.parametrize("size", [_SLICE_FLOOR - 1, _SLICE_FLOOR, _SLICE_FLOOR + 1])
-@pytest.mark.parametrize(
-    "dropped, runs",
-    [
-        ((0, 1, 2, 3), 1),
-        ((-4, -3, -2, -1), 1),
-        ((0, 1, 2, 50), 2),
-        ((50, -3, -2, -1), 2),
-        ((0, 40, 41, -1), 2),
-        ((10, 11, 60, 61), 3),
-        ((10, 60, 110, -1), 4),
-        ((10, 60, 110, 150), 5),
-    ],
-)
-def test_child_table_is_the_copy_two_takes_make(size, dropped, runs):
-    k = size + len(dropped)
-    sub = np.random.default_rng(size).uniform(0.0, 1.0, (k, k))
-    sub[5, 7] = -0.0  # a sign only a bitwise comparison sees
-    pos = np.delete(np.arange(k), [d % k for d in dropped])
-    assert 1 + np.count_nonzero(np.diff(pos) != 1) == runs
-    child = _child_table(sub, pos)
-    twin = sub.take(pos, 0).take(pos, 1)
-    assert child.flags.c_contiguous and child.dtype == twin.dtype
-    assert child.shape == twin.shape and child.tobytes() == twin.tobytes()
 
 
 def test_build_hierarchy_rejects_unknown_token(line4):

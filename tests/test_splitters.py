@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 import divclust as dc
 from conftest import DIVISIVE_SPLITTERS, random_matrix, tie_heavy_matrices
-from divclust.criteria import CandidateScreen
+from divclust.criteria import CandidateScreen, _relative_band
 from divclust.splitters import (
     _macnaughton_smith_mask,
     _SideSums,
@@ -246,7 +247,7 @@ def test_macnaughton_smith_matches_the_float_reference_when_ties_round_apart(cas
     # fresh ones wherever the choice is that close
     k, values = case
     sub = dc.DissimilarityMatrix(k, [0.1 * v for v in values]).square()
-    assert np.array_equal(_macnaughton_smith_mask(sub), macnaughton_smith_float(sub))
+    assert np.array_equal(_macnaughton_smith_mask(sub)[0], macnaughton_smith_float(sub))
 
 
 @st.composite
@@ -274,6 +275,49 @@ def test_running_gaps_stay_within_their_bands_for_up_to_k_squared_moves(case):
         sums.move(x, mask)
         gap, band = sums.gaps(mask)
         assert (np.abs(gap - float_gaps(sub, mask)) <= band).all()
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(moves_without_reset(), st.sampled_from([0.5, 8.0, 64.0]), st.integers(0, 1))
+def test_running_gaps_from_carried_totals_stay_within_their_bands(case, spread, parity):
+    # a child's totals, carried from its parent's peel, may lie anywhere within
+    # their error bounds of the exact ones, so the bands must widen by them
+    sub, _, moves = case
+    k = len(sub)
+    fresh = sub.sum(axis=1)
+    err = spread * _relative_band(k) * fresh
+    totals = fresh + np.where(np.arange(k) % 2 == parity, err, -err)
+    sums = _SideSums(sub, totals, np.arange(k), err)
+    mask = np.zeros(k, dtype=bool)
+    sums.move(0, mask)  # the seed
+    for x in moves:
+        if np.count_nonzero(mask == mask[x]) == 1:
+            continue  # x's side would be left empty
+        sums.move(x, mask)
+        gap, band = sums.gaps(mask)
+        assert (np.abs(gap - float_gaps(sub, mask)) <= band).all()
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(tie_heavy_matrices(min_k=3, max_k=40), st.sampled_from([0.1, 0.7]))
+def test_carried_totals_lie_within_their_error_bounds(case, scale):
+    # every cluster's carried totals against exact sums of its rows, down a
+    # chain of peels that each keep the larger side
+    k, values = case
+    square = dc.DissimilarityMatrix(k, [scale * v for v in values]).square()
+    idx, carried = None, None
+    while True:
+        mask, carried_all = _macnaughton_smith_mask(square, idx, carried)
+        members = np.arange(k) if idx is None else idx
+        keep = mask if mask.sum() > (~mask).sum() else ~mask
+        if keep.sum() < 3:
+            return
+        own, err = carried_all
+        idx = members[keep]
+        for x, total, bound in zip(idx, own[keep], err[keep]):
+            exact = sum(map(Fraction, square[x, idx].tolist()))
+            assert abs(Fraction(float(total)) - exact) <= Fraction(float(bound))
+        carried = (own[keep], err[keep])
 
 
 def test_pcoa_line4_recovers_line_coordinates(line4):
