@@ -17,6 +17,19 @@ FOLDED_SUM_TABLE = [
     0.1 * v for v in [1, 1, 2, 2, 1, 1, 3, 1, 0, 1, 3, 0, 2, 3, 3, 3, 3, 1, 3, 0, 0, 0, 3, 0, 3, 1, 3, 1]
 ]
 
+# Integer table times 0.1 whose rows 1 and 3 both sum to 1.9: row 3's float
+# total is the larger, but both means round to the same value, so the first
+# largest mean seeds object 1.
+MEAN_TIE_TABLE = 0.1 * np.array([
+    [0, 3, 4, 3, 2, 3, 2],
+    [3, 0, 2, 4, 4, 3, 3],
+    [4, 2, 0, 4, 3, 2, 3],
+    [3, 4, 4, 0, 1, 3, 4],
+    [2, 4, 3, 1, 0, 2, 3],
+    [3, 3, 2, 3, 2, 0, 2],
+    [2, 3, 3, 4, 3, 2, 0],
+])
+
 
 @pytest.fixture
 def line4() -> DissimilarityMatrix:

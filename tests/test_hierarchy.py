@@ -10,7 +10,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import divclust as dc
-from conftest import DIVISIVE_SPLITTERS, FOLDED_SUM_TABLE, random_matrix, tie_heavy_matrices
+from conftest import (
+    DIVISIVE_SPLITTERS,
+    FOLDED_SUM_TABLE,
+    MEAN_TIE_TABLE,
+    random_matrix,
+    tie_heavy_matrices,
+)
 from divclust import hierarchy
 from divclust.benchmark import generate_dataset
 from helpers import (
@@ -207,20 +213,6 @@ def test_macnaughton_smith_tree_matches_the_full_table_loop_across_magnitudes(se
         tree = dc.build_hierarchy(m, "macnaughton-smith")
     assert any(len(x.members) > 2 and 0.0 < x.level < 2.0**-160 for x in tree.nodes)
     assert [node_tuple(x) for x in tree.nodes] == macnaughton_smith_tree_float(m)
-
-
-# Integer table times 0.1 whose rows 1 and 3 both sum to 1.9: row 3's float
-# total is the larger, but both means round to the same value, so the first
-# largest mean seeds object 1.
-MEAN_TIE_TABLE = 0.1 * np.array([
-    [0, 3, 4, 3, 2, 3, 2],
-    [3, 0, 2, 4, 4, 3, 3],
-    [4, 2, 0, 4, 3, 2, 3],
-    [3, 4, 4, 0, 1, 3, 4],
-    [2, 4, 3, 1, 0, 2, 3],
-    [3, 3, 2, 3, 2, 0, 2],
-    [2, 3, 3, 4, 3, 2, 0],
-])
 
 
 def test_macnaughton_smith_seeds_the_first_largest_mean_not_total():

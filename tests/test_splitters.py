@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import divclust as dc
-from conftest import DIVISIVE_SPLITTERS, random_matrix, tie_heavy_matrices
+from conftest import DIVISIVE_SPLITTERS, MEAN_TIE_TABLE, random_matrix, tie_heavy_matrices
+from divclust.core import _into_window
 from divclust.criteria import CandidateScreen, _relative_band
 from divclust.splitters import (
+    _carried_seed,
     _macnaughton_smith_mask,
     _SideSums,
     _pcoa_axis,
@@ -319,6 +321,48 @@ def test_carried_totals_lie_within_their_error_bounds(case, scale):
             assert abs(Fraction(float(total)) - exact) <= Fraction(float(bound))
         carried = (own[keep], err[keep])
 
+
+def test_carried_seed_declines_totals_whose_bounds_outgrow_the_band():
+    # a bound past _relative_band(k) times its total would more than double
+    # the band, so the cluster's totals are summed afresh from its table
+    square = random_matrix(12, 12)[0].square()
+    idx = np.arange(2, 12)
+    sub = square.take(idx, 0).take(idx, 1)
+    totals = sub.sum(axis=1)
+    err = _relative_band(idx.size) * totals
+    assert _carried_seed(square, idx, (totals, err)) is not None
+    err[4] = np.nextafter(err[4], np.inf)
+    assert _carried_seed(square, idx, (totals, err)) is None
+    # totals that far off leave the split the fresh one
+    wrong = (totals[::-1].copy(), 4.0 * totals)
+    assert np.array_equal(_macnaughton_smith_mask(square, idx, wrong)[0], macnaughton_smith_float(sub))
+
+
+def test_carried_seed_declines_clusters_below_the_magnitude_window():
+    # a cluster whose largest mean lies under the window may have its max
+    # there too, so it is split from its own table brought into the window,
+    # and a scaled table hands its children no totals
+    idx = np.arange(1, 10)
+    for scale, below in ((1.0, False), (1e-200, True)):
+        square = scale * random_matrix(10, 10)[0].square()
+        sub = square.take(idx, 0).take(idx, 1)
+        carried = (sub.sum(axis=1), np.zeros(idx.size))
+        assert (_carried_seed(square, idx, carried) is None) == below
+        mask, handed = _macnaughton_smith_mask(square, idx, carried)
+        assert np.array_equal(mask, macnaughton_smith_float(_into_window(sub)[0]))
+        assert (handed is None) == below
+
+
+def test_carried_seed_settles_contenders_by_fresh_row_sums():
+    # rows 1 and 3 have equal fresh means; carried totals that put row 3's
+    # above row 1's, within their bounds, must still seed the first, object 1
+    totals = MEAN_TIE_TABLE.sum(axis=1)
+    err = 0.5 * _relative_band(7) * totals
+    carried = (totals + np.where(np.arange(7) == 3, err, -err), err)
+    idx = np.arange(7)
+    assert _carried_seed(MEAN_TIE_TABLE, idx, carried)[1] == 1
+    mask = _macnaughton_smith_mask(MEAN_TIE_TABLE, idx, carried)[0]
+    assert np.flatnonzero(mask).tolist() == [1, 2]
 
 def test_pcoa_line4_recovers_line_coordinates(line4):
     axis = dc.pcoa_first_axis(line4, range(4))
