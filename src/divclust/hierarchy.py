@@ -8,8 +8,12 @@ partition them. Levels never increase from parent to child.
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
+from functools import cached_property
+from operator import itemgetter
 
 import numpy as np
 
@@ -51,22 +55,99 @@ class DendrogramNode:
         return self.children is None
 
 
-@dataclass(frozen=True)
 class Dendrogram:
-    """A validated complete binary hierarchy over objects ``0..n-1``.
+    """A validated complete binary hierarchy over objects ``0..n-1``, stored as arrays.
 
-    ``nodes[i].id == i`` always holds; the root is the unique node holding
-    all objects. Construction re-checks every structural invariant in one
-    walk from the root, whose preorder (first child first) the tree keeps,
-    so a Dendrogram in hand is always well-formed.
+    Over the ``2n - 1`` node ids the tree keeps ``children`` (two node ids
+    per row, ``-1`` twice for a leaf), ``levels``, ``sizes`` (member counts)
+    and ``start``. ``order`` lists the objects leaf by leaf along
+    ``preorder``, the walk from the root that visits a node's first child
+    first, so node ``i``'s members are one run of it,
+    ``order[start[i]:start[i] + sizes[i]]``, with its first child's run
+    before its second's.
+
+    ``Dendrogram(n, nodes)`` takes the tree as ``DendrogramNode`` records and
+    re-checks every invariant, members included. The builders hand over
+    children, levels and leaf objects and get only the structural check:
+    members read from the leaf order partition their parent by construction.
+    ``nodes`` derives every node's members, ascending, when first read. A
+    Dendrogram in hand is always well-formed and never changes.
     """
 
-    n: int
-    nodes: tuple[DendrogramNode, ...]
-    preorder: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    def __init__(self, n: int, nodes: Sequence[DendrogramNode]):
+        nodes = tuple(nodes)
+        members = [list(node.members) for node in nodes]
+        kids = [node.children for node in nodes]
+        levels = [node.level for node in nodes]
+        preorder = _check_records(n, [node.id for node in nodes], members, levels, kids)
+        self._store(n, kids, levels, [ms[0] for ms in members], preorder)
 
-    def __post_init__(self):
-        object.__setattr__(self, "preorder", _validate_dendrogram(self.n, self.nodes))
+    @classmethod
+    def _checked(cls, n: int, kids, levels, objects, preorder) -> Dendrogram:
+        """A tree whose check has passed: ``kids[i]`` is a child pair or None,
+        ``objects[i]`` the object of leaf ``i``, ``preorder`` the walk that check made."""
+        tree = cls.__new__(cls)
+        tree._store(n, kids, levels, objects, preorder)
+        return tree
+
+    def _store(self, n: int, kids, levels, objects, preorder) -> None:
+        start = [0] * len(kids)
+        sizes = [1] * len(kids)
+        order = []
+        for nid in preorder:
+            start[nid] = len(order)
+            if kids[nid] is None:
+                order.append(objects[nid])
+        for nid in reversed(preorder):
+            if kids[nid] is not None:
+                first, second = kids[nid]
+                sizes[nid] = sizes[first] + sizes[second]
+        arrays = {
+            "children": np.array([pair or (-1, -1) for pair in kids], dtype=np.intp),
+            "levels": np.array(levels, dtype=float),
+            "sizes": np.array(sizes, dtype=np.intp),
+            "order": np.array(order, dtype=np.intp),
+            "start": np.array(start, dtype=np.intp),
+        }
+        for values in arrays.values():
+            values.setflags(write=False)
+        vars(self).update(arrays, n=n, preorder=tuple(preorder))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("a Dendrogram never changes")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Dendrogram):
+            return NotImplemented
+        # equal children and leaf orders give equal members
+        return (self.n == other.n and np.array_equal(self.children, other.children)
+                and np.array_equal(self.order, other.order)
+                and np.array_equal(self.levels, other.levels))
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.preorder))
+
+    def __repr__(self) -> str:
+        return f"Dendrogram(n={self.n!r}, nodes={self.nodes!r})"
+
+    def _member_lists(self) -> list[list[int]]:
+        """Every node's members as an ascending list, each merged from its children's."""
+        kids = self.children.tolist()
+        objects = self.order[self.start].tolist()  # a leaf's entry is its object
+        lists: list = [None] * len(kids)
+        for nid in reversed(self.preorder):
+            first, second = kids[nid]
+            lists[nid] = [objects[nid]] if first < 0 else sorted(lists[first] + lists[second])
+        return lists
+
+    @cached_property
+    def nodes(self) -> tuple[DendrogramNode, ...]:
+        """Every node as a record, in storage order (``nodes[i].id == i``)."""
+        records = zip(self._member_lists(), self.levels.tolist(), self.children.tolist())
+        return tuple(
+            DendrogramNode(nid, tuple(members), level, None if first < 0 else (first, second))
+            for nid, (members, level, (first, second)) in enumerate(records)
+        )
 
     @property
     def root(self) -> DendrogramNode:
@@ -76,51 +157,89 @@ class Dendrogram:
         return tuple(node for node in self.nodes if node.is_leaf)
 
 
-def _validate_dendrogram(n: int, nodes: tuple[DendrogramNode, ...]) -> tuple[int, ...]:
-    """Check every structural invariant; return the node ids in preorder."""
+def _check_records(n: int, ids, members, levels, kids) -> list[int]:
+    """Check a tree given with every node's members (lists); return its preorder."""
     if n < 2:
         raise DivclustError("a dendrogram needs at least 2 objects")
-    if len(nodes) != 2 * n - 1:
-        raise DivclustError(f"expected {2 * n - 1} nodes for n={n}, got {len(nodes)}")
-    for pos, node in enumerate(nodes):
-        if node.id != pos:
+    if len(ids) != 2 * n - 1:
+        raise DivclustError(f"expected {2 * n - 1} nodes for n={n}, got {len(ids)}")
+    for pos, (nid, ms, level) in enumerate(zip(ids, members, levels)):
+        if nid != pos:
             raise DivclustError("node ids must be 0..2n-2 in storage order")
-        if not node.members:
+        if not ms:
             raise DivclustError("node has no members")
-        if node.members[0] < 0 or node.members[-1] >= n:
+        if ms[0] < 0 or ms[-1] >= n:
             raise DivclustError("node members out of range")
-        if not np.isfinite(node.level) or node.level < 0.0:
+        if not math.isfinite(level) or level < 0.0:
             raise DivclustError("node level must be finite and nonnegative")
     # No node is empty, so a child has fewer members than its parent and the
     # walk ends. Children partition their parent, so it reaches no node twice,
     # and all of them exactly when the tree is whole; with the root 0..n-1,
     # every node it reaches is then strictly ascending.
     preorder: list[int] = []
-    stack = [node.id for node in nodes if len(node.members) == n][:1]
-    if stack and nodes[stack[0]].members != tuple(range(n)):
+    stack = [pos for pos, ms in enumerate(members) if len(ms) == n][:1]
+    if stack and members[stack[0]] != list(range(n)):
         raise DivclustError("node members must be strictly ascending")
     while stack:
-        node = nodes[stack.pop()]
-        preorder.append(node.id)
-        if node.children is None:
-            if len(node.members) != 1:
+        nid = stack.pop()
+        preorder.append(nid)
+        if kids[nid] is None:
+            if len(members[nid]) != 1:
                 raise DivclustError("leaf node must be a singleton")
-            if node.level != 0.0:
+            if levels[nid] != 0.0:
                 raise DivclustError("leaf level must be zero")
             continue
-        ca, cb = node.children
-        if not (0 <= ca < len(nodes) and 0 <= cb < len(nodes)) or ca == cb:
+        ca, cb = kids[nid]
+        if not (0 <= ca < len(ids) and 0 <= cb < len(ids)) or ca == cb:
             raise DivclustError("bad child ids")
-        left, right = nodes[ca], nodes[cb]
         # the parent is strictly ascending, so equal children cannot overlap
-        if tuple(sorted(left.members + right.members)) != node.members:
+        if sorted(members[ca] + members[cb]) != members[nid]:
             raise DivclustError("children must partition their parent")
-        if left.level > node.level or right.level > node.level:
+        if levels[ca] > levels[nid] or levels[cb] > levels[nid]:
             raise DivclustError("child level exceeds parent level")
         stack.extend((cb, ca))
-    if len(preorder) != len(nodes):
+    if len(preorder) != len(ids):
         raise DivclustError("dendrogram must have one root covering all objects")
-    return tuple(preorder)
+    return preorder
+
+
+def _check_structure(n: int, kids, levels, objects) -> list[int]:
+    """Check a builder's tree, which carries no members; return its preorder.
+
+    One root, every node reached once from it, leaves holding the objects
+    0..n-1, and levels finite, nonnegative, zero at the leaves and never
+    above the parent's.
+    """
+    claimed = [c for pair in kids if pair is not None for c in pair]
+    if not all(0 <= c < len(kids) for c in claimed):
+        raise DivclustError("bad child ids")
+    stack = list(set(range(len(kids))).difference(claimed))  # the unclaimed nodes
+    whole = len(kids) == 2 * n - 1 and len(stack) == 1
+    seen = bytearray(len(kids))
+    preorder: list[int] = []
+    leaves = []
+    while whole and stack:
+        nid = stack.pop()
+        whole = not seen[nid]
+        seen[nid] = 1
+        preorder.append(nid)
+        level = levels[nid]
+        if not math.isfinite(level) or level < 0.0:
+            raise DivclustError("node level must be finite and nonnegative")
+        if kids[nid] is None:
+            if level != 0.0:
+                raise DivclustError("leaf level must be zero")
+            leaves.append(objects[nid])
+            continue
+        first, second = kids[nid]
+        if levels[first] > level or levels[second] > level:
+            raise DivclustError("child level exceeds parent level")
+        stack.extend((second, first))
+    if not whole or len(preorder) != len(kids):
+        raise DivclustError("dendrogram must have one root covering all objects")
+    if sorted(leaves) != list(range(n)):
+        raise DivclustError("leaves must hold the objects 0..n-1")
+    return preorder
 
 
 def divisive_hierarchy(m: DissimilarityMatrix, splitter: Splitter) -> Dendrogram:
@@ -192,11 +311,9 @@ def divisive_hierarchy(m: DissimilarityMatrix, splitter: Splitter) -> Dendrogram
         else:
             cross = square.take(small, 0).take(large, 1).max()
         levels[nid] = max(levels[first], levels[second], float(cross))
-    nodes = tuple(
-        DendrogramNode(i, tuple(members_of[i].tolist()), levels[i], children[i])
-        for i in range(len(members_of))
-    )
-    return Dendrogram(m.n, nodes)
+    objects = [int(idx[0]) for idx in members_of]
+    return Dendrogram._checked(m.n, children, levels, objects,
+                               _check_structure(m.n, children, levels, objects))
 
 
 def agglomerative_average_link(m: DissimilarityMatrix) -> Dendrogram:
@@ -226,7 +343,6 @@ def agglomerative_average_link(m: DissimilarityMatrix) -> Dendrogram:
     rescanned when its cached column was q. Every other row keeps its cache.
     """
     n = m.n
-    members: list[tuple[int, ...]] = [(i,) for i in range(n)]
     node_ids = list(range(n))
     sizes = np.ones(n)
     cross, shift = _into_window(m.square().copy())  # between-cluster SUMS, diagonal unused
@@ -240,15 +356,15 @@ def agglomerative_average_link(m: DissimilarityMatrix) -> Dendrogram:
 
     for i in range(n - 1):
         rescan(i)
-    nodes = [DendrogramNode(i, (i,), 0.0) for i in range(n)]
+    kids: list[tuple[int, int] | None] = [None] * n
+    levels = [0.0] * n
     for _ in range(n - 1):
         p = int(best.argmin())  # with q, the row-major first minimum: the tie rule
         q = int(nn[p])
-        children = (node_ids[p], node_ids[q])
-        level = max(float(np.ldexp(best[p], shift)), *(nodes[c].level for c in children))
-        members[p] = tuple(sorted(members[p] + members[q]))
-        nodes.append(DendrogramNode(len(nodes), members[p], level, children))
-        node_ids[p] = len(nodes) - 1
+        first, second = node_ids[p], node_ids[q]
+        levels.append(max(float(np.ldexp(best[p], shift)), levels[first], levels[second]))
+        kids.append((first, second))
+        node_ids[p] = len(kids) - 1
         cross[p, :] += cross[q, :]
         cross[:, p] += cross[:, q]
         sizes[p] += sizes[q]
@@ -264,7 +380,8 @@ def agglomerative_average_link(m: DissimilarityMatrix) -> Dendrogram:
         between = p + 1 + np.flatnonzero(nn[p + 1:q] == q)
         for i in (*stale.tolist(), p, *between.tolist()):
             rescan(i)
-    return Dendrogram(n, tuple(nodes))
+    objects = range(2 * n - 1)  # leaf i holds object i
+    return Dendrogram._checked(n, kids, levels, objects, _check_structure(n, kids, levels, objects))
 
 
 def _parse_algorithm(token: str) -> Splitter | None:
@@ -290,19 +407,31 @@ def build_hierarchy(m: DissimilarityMatrix, algorithm: str) -> Dendrogram:
 
 
 def cophenetic(tree: Dendrogram) -> DissimilarityMatrix:
-    """Pairwise merge levels: u(i, j) is the level of the smallest common node."""
+    """Pairwise merge levels: u(i, j) is the level of the smallest common node.
+
+    A node's two children hold adjacent runs of the leaf order, so the pairs
+    it joins are one block of a table indexed by leaf position, and the
+    block's mirror. The packed vector then takes each object's row from that
+    table, in object order.
+    """
     n = tree.n
-    cond = np.zeros(condensed_size(n))
-    for node in tree.nodes:
-        if node.children is None:
+    table = np.empty((n, n))  # the diagonal is never read
+    start, sizes = tree.start.tolist(), tree.sizes.tolist()
+    for nid, ((first, _), level) in enumerate(zip(tree.children.tolist(), tree.levels.tolist())):
+        if first < 0:
             continue
-        left = np.asarray(tree.nodes[node.children[0]].members)
-        right = np.asarray(tree.nodes[node.children[1]].members)
-        ii = np.repeat(left, right.size)
-        jj = np.tile(right, left.size)
-        lo = np.minimum(ii, jj)
-        hi = np.maximum(ii, jj)
-        cond[lo * n - lo * (lo + 1) // 2 + (hi - lo - 1)] = node.level
+        lo = start[nid]
+        mid, hi = lo + sizes[first], lo + sizes[nid]
+        table[lo:mid, mid:hi] = level
+        table[mid:hi, lo:mid] = level
+    position = np.empty(n, dtype=np.intp)
+    position[tree.order] = np.arange(n)
+    cond = np.empty(condensed_size(n))
+    at = 0
+    for i, row in enumerate(position[:-1].tolist()):
+        table[row].take(position[i + 1:], out=cond[at:at + n - 1 - i], mode="clip")
+        at += n - 1 - i
+    del table
     return DissimilarityMatrix(n, cond)
 
 
@@ -315,13 +444,13 @@ def tree_to_json(tree: Dendrogram) -> str:
     """
     names = [str(i) for i in range(tree.n)]  # every member is an index below n
     records = []
-    for node in tree.nodes:
-        members = ",\n        ".join(map(names.__getitem__, node.members))
+    nodes = zip(tree._member_lists(), tree.levels.tolist(), tree.children.tolist())
+    for nid, (members, level, (first, second)) in enumerate(nodes):
+        text = ",\n        ".join(map(names.__getitem__, members))
         # json writes a finite float as its repr
-        rec = (f'{{\n      "id": {node.id},\n      "members": [\n        {members}\n      ],'
-               f'\n      "level": {float(f"{node.level:.9g}")!r}')
-        if node.children is not None:
-            first, second = node.children
+        rec = (f'{{\n      "id": {nid},\n      "members": [\n        {text}\n      ],'
+               f'\n      "level": {float(f"{level:.9g}")!r}')
+        if first >= 0:
             rec += f',\n      "children": [\n        {first},\n        {second}\n      ]'
         records.append(rec + "\n    }")
     return f'{{\n  "n": {tree.n},\n  "nodes": [\n    ' + ",\n    ".join(records) + "\n  ]\n}"
@@ -333,25 +462,27 @@ def _as_index(value, what: str) -> int:
     return value
 
 
-def _as_members(values: list) -> tuple[int, ...]:
+def _as_members(values: list) -> list[int]:
     if not set(map(type, values)) <= {int}:  # checked in bulk; a bool's type is bool, not int
         raise DivclustError("malformed tree JSON: member must be an integer")
-    return tuple(values)
+    return values
 
 
 def tree_from_json(text: str) -> Dendrogram:
-    """Parse and re-validate a serialized dendrogram."""
+    """Parse and re-validate a serialized dendrogram, members included."""
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DivclustError(f"malformed tree JSON: {exc}") from None
+    except RecursionError:
+        raise DivclustError("malformed tree JSON: nested too deeply") from None
     if not isinstance(payload, dict) or set(payload) != {"n", "nodes"}:
         raise DivclustError("malformed tree JSON: expected an object with 'n' and 'nodes'")
     n = _as_index(payload["n"], "'n'")
     raw_nodes = payload["nodes"]
     if not isinstance(raw_nodes, list):
         raise DivclustError("malformed tree JSON: 'nodes' must be a list")
-    nodes = []
+    records = []
     for rec in raw_nodes:
         if not isinstance(rec, dict) or not {"id", "members", "level"} <= set(rec):
             raise DivclustError("malformed tree JSON: bad node record")
@@ -369,27 +500,31 @@ def tree_from_json(text: str) -> Dendrogram:
             if not isinstance(raw, list) or len(raw) != 2:
                 raise DivclustError("malformed tree JSON: 'children' must hold two ids")
             children = (_as_index(raw[0], "child id"), _as_index(raw[1], "child id"))
-        nodes.append(
-            DendrogramNode(
-                _as_index(rec["id"], "'id'"),
-                _as_members(members),
-                float(level),
-                children,
-            )
-        )
-    nodes.sort(key=lambda node: node.id)
-    return Dendrogram(n, tuple(nodes))
+        nid = _as_index(rec["id"], "'id'")
+        members = _as_members(members)
+        try:
+            level = float(level)
+        except OverflowError:
+            raise DivclustError("malformed tree JSON: 'level' is too large for a float") from None
+        records.append((nid, members, level, children))
+    records.sort(key=itemgetter(0))
+    ids, members, levels, kids = list(zip(*records)) or [()] * 4
+    preorder = _check_records(n, ids, members, levels, kids)
+    return Dendrogram._checked(n, kids, levels, [ms[0] for ms in members], preorder)
 
 
 def to_newick(tree: Dendrogram) -> str:
     """Newick text: leaves are ``o<index+1>``, branch lengths are level drops."""
+    kids, levels = tree.children.tolist(), tree.levels.tolist()
+    objects = tree.order[tree.start].tolist()  # a leaf's entry is its object
     # reversed preorder places every child before its parent
     text: dict[int, str] = {}
     for nid in reversed(tree.preorder):
-        node = tree.nodes[nid]
-        if node.is_leaf:
-            text[nid] = f"o{node.members[0] + 1}"
+        first, second = kids[nid]
+        if first < 0:
+            text[nid] = f"o{objects[nid] + 1}"
         else:
-            drops = (f"{text.pop(c)}:{node.level - tree.nodes[c].level:.9g}" for c in node.children)
-            text[nid] = "(" + ",".join(drops) + ")"
-    return text[tree.root.id] + ";"
+            level = levels[nid]
+            text[nid] = (f"({text.pop(first)}:{level - levels[first]:.9g},"
+                         f"{text.pop(second)}:{level - levels[second]:.9g})")
+    return text[tree.preorder[0]] + ";"

@@ -17,10 +17,11 @@ _LABEL_GAP = 16.0
 
 def dendrogram_svg(tree: Dendrogram) -> str:
     """Render a dendrogram as a standalone SVG document."""
-    leaf_order = [nid for nid in tree.preorder if tree.nodes[nid].is_leaf]
+    kids, levels = tree.children.tolist(), tree.levels.tolist()
+    leaf_order = [nid for nid in tree.preorder if kids[nid][0] < 0]
     leaf_x = {nid: _MARGIN + rank * _LEAF_SPACING for rank, nid in enumerate(leaf_order)}
 
-    top = tree.root.level
+    top = levels[tree.preorder[0]]
     scale = _PLOT_HEIGHT / top if top > 0.0 else 0.0
 
     def y_of(level: float) -> float:
@@ -30,8 +31,8 @@ def dendrogram_svg(tree: Dendrogram) -> str:
     # every child before its parent
     x_of: dict[int, float] = dict(leaf_x)
     for nid in reversed(tree.preorder):
-        if not tree.nodes[nid].is_leaf:
-            ca, cb = tree.nodes[nid].children
+        ca, cb = kids[nid]
+        if ca >= 0:
             x_of[nid] = (x_of[ca] + x_of[cb]) / 2.0
     width = 2 * _MARGIN + (len(leaf_order) - 1) * _LEAF_SPACING
     height = _MARGIN + _PLOT_HEIGHT + _LABEL_GAP + _MARGIN
@@ -40,23 +41,22 @@ def dendrogram_svg(tree: Dendrogram) -> str:
         f'viewBox="0 0 {width:.0f} {height:.0f}">',
         '<g fill="none" stroke="#222" stroke-width="1.5">',
     ]
-    for node in tree.nodes:
-        if node.is_leaf:
+    for (ca, cb), level in zip(kids, levels):
+        if ca < 0:
             continue
-        ca, cb = node.children
         xl, xr = x_of[ca], x_of[cb]
-        yn = y_of(node.level)
-        yl = y_of(tree.nodes[ca].level)
-        yr = y_of(tree.nodes[cb].level)
+        yn = y_of(level)
+        yl = y_of(levels[ca])
+        yr = y_of(levels[cb])
         parts.append(
             f'<path d="M {xl:.2f} {yl:.2f} V {yn:.2f} H {xr:.2f} V {yr:.2f}"/>'
         )
     parts.append("</g>")
     parts.append('<g font-family="sans-serif" font-size="11" text-anchor="middle" fill="#222">')
     baseline = _MARGIN + _PLOT_HEIGHT + _LABEL_GAP
-    for nid in leaf_order:
-        label = f"o{tree.nodes[nid].members[0] + 1}"
-        parts.append(f'<text x="{leaf_x[nid]:.2f}" y="{baseline:.2f}">{label}</text>')
+    # the leaves in preorder hold the objects in leaf order
+    for nid, obj in zip(leaf_order, tree.order.tolist()):
+        parts.append(f'<text x="{leaf_x[nid]:.2f}" y="{baseline:.2f}">o{obj + 1}</text>')
     parts.append("</g>")
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -15,6 +15,7 @@ bitwise alike on inputs whose sums round.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 
@@ -317,6 +318,26 @@ def average_link_float(m):
         mean[p, p + 1:] = cross[p, p + 1:] / (sizes[p] * sizes[p + 1:])
         mean[:p, p] = cross[:p, p] / (sizes[:p] * sizes[p])
     return nodes
+
+
+def cophenetic_from_nodes(nodes, n):
+    """Packed u(i, j): the level of the smallest node whose members hold both i and j.
+
+    Reads only each node's members and level. The nodes holding an object
+    nest, so ordered by size they form a chain, and the first node of i's
+    chain that holds j is found by bisection.
+    """
+    sets = [set(node.members) for node in nodes]
+    chains = [[] for _ in range(n)]
+    for node in sorted(nodes, key=lambda node: len(node.members)):
+        for obj in node.members:
+            chains[obj].append(node.id)
+    values = []
+    for i, j in itertools.combinations(range(n), 2):
+        chain = chains[i]
+        first = bisect.bisect_left(chain, True, key=lambda nid: j in sets[nid])
+        values.append(nodes[chain[first]].level)
+    return values
 
 
 def all_bipartitions(members):

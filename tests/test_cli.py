@@ -280,6 +280,20 @@ def test_plot_rejects_bad_tree(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("text", [
+    pytest.param("[" * 100_000, id="nested-100000-deep"),
+    pytest.param('{"n": 2, "nodes": [{"id": 0, "members": [0, 1], "level": 1%s}]}' % ("0" * 400),
+                 id="level-of-401-digits"),
+])
+def test_plot_and_eval_exit_2_on_tree_json_python_cannot_hold(tmp_path, dist_csv, capsys, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert cli.main(["plot", "--tree", str(bad), "--out", str(tmp_path / "x.svg")]) == 2
+    assert cli.main(["eval", "--tree", str(bad), "--input", str(dist_csv)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("error: malformed tree JSON") for line in err)
+
+
 def test_argparse_failures_exit_with_2(tmp_path, capsys):
     assert cli.main([]) == 2
     assert cli.main(["cluster", "in.csv", "--algo", "pddp"]) == 2  # --out missing

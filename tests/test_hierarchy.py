@@ -1,6 +1,8 @@
 import json
 import math
+import random
 import signal
+import tracemalloc
 from contextlib import contextmanager
 from unittest import mock
 
@@ -22,6 +24,7 @@ from divclust.benchmark import generate_dataset
 from helpers import (
     average_link,
     average_link_float,
+    cophenetic_from_nodes,
     macnaughton_smith_tree_float,
     square_from_condensed,
 )
@@ -378,11 +381,70 @@ def test_cophenetic_has_at_most_one_value_per_merge():
         assert len(set(u.condensed.tolist())) <= 11
 
 
+def assert_cophenetic_matches_the_nodes(tree: dc.Dendrogram):
+    expected = np.array(cophenetic_from_nodes(tree.nodes, tree.n))
+    assert dc.cophenetic(tree).condensed.tobytes() == expected.tobytes()
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(tie_heavy_matrices())
+def test_cophenetic_is_the_level_of_the_smallest_common_node_on_built_trees(case):
+    k, values = case
+    for token in dc.DEFAULT_ALGORITHMS:
+        assert_cophenetic_matches_the_nodes(dc.build_hierarchy(dc.DissimilarityMatrix(k, values), token))
+
+
+def larger_first_tree(seed: int, n: int) -> dc.Dendrogram:
+    """Random splits, ids breadth-first, whose first child holds the cluster's
+    largest object, so leaf order runs against object order; each level is
+    its children's larger one, raised by 0 or 1, so levels tie often."""
+    rng = random.Random(seed)
+    members = [tuple(range(n))]
+    children: dict[int, tuple[int, int]] = {}
+    for nid in range(2 * n - 1):
+        if len(members[nid]) > 1:
+            picked = set(rng.sample(members[nid], rng.randrange(1, len(members[nid]))))
+            sides = [tuple(x for x in members[nid] if (x in picked) == flag) for flag in (True, False)]
+            sides.sort(key=max, reverse=True)
+            children[nid] = (len(members), len(members) + 1)
+            members.extend(sides)
+    levels = [0.0] * len(members)
+    for nid in sorted(children, reverse=True):
+        levels[nid] = max(levels[c] for c in children[nid]) + rng.choice([0.0, 0.0, 1.0])
+    return dc.Dendrogram(n, tuple(
+        dc.DendrogramNode(i, members[i], levels[i], children.get(i)) for i in range(len(members))
+    ))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_cophenetic_is_the_level_of_the_smallest_common_node_when_first_children_hold_larger_objects(seed):
+    tree = larger_first_tree(seed, 3 + 3 * seed)
+    assert any(tree.order[a] > tree.order[b] for a, b in zip(range(tree.n), range(1, tree.n)))
+    assert_cophenetic_matches_the_nodes(tree)
+
+
+def test_cophenetic_is_the_level_of_the_smallest_common_node_on_a_deep_caterpillar():
+    tree = caterpillar(1100)
+    assert_cophenetic_matches_the_nodes(tree)
+    # one 1100 x 1100 leaf-order table (9.7 MB) beside the packed values (4.8 MB)
+    tracemalloc.start()
+    try:
+        dc.cophenetic(tree)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 15e6
+
+
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(tie_heavy_matrices(), st.sampled_from(dc.DEFAULT_ALGORITHMS))
 def test_json_round_trip_is_lossless_and_idempotent(case, token):
     k, values = case
     tree = dc.build_hierarchy(dc.DissimilarityMatrix(k, values), token)
+    # the members path and the builders' arrays path store the same tree,
+    # and every derived member tuple is ascending
+    assert dc.Dendrogram(tree.n, tree.nodes) == tree
+    assert all(list(node.members) == sorted(set(node.members)) for node in tree.nodes)
     text = dc.tree_to_json(tree)
     back = dc.tree_from_json(text)
     assert back.n == tree.n
@@ -469,12 +531,15 @@ BAD_JSON = [
     '{"n": 2, "nodes": [{"id": 0, "members": [0, 1], "level": 5, "children": [1]}]}',
     '{"n": 2, "nodes": [{"id": 0, "members": [0, 1], "level": 5, "children": 3}]}',
     '{"n": 2, "nodes": [{"id": 0, "members": [0, 1], "level": 5, "children": [1, 2.0]}]}',
+    pytest.param('{"n": 2, "nodes": [{"id": 0, "members": [0, 1], "level": 1%s}]}' % ("0" * 400),
+                 id="level-of-401-digits"),
+    pytest.param("[" * 100_000, id="nested-100000-deep"),
 ]
 
 
 @pytest.mark.parametrize("text", BAD_JSON)
 def test_malformed_json_is_rejected(text):
-    with pytest.raises(dc.DivclustError):
+    with pytest.raises(dc.DivclustError, match="malformed tree JSON"):
         dc.tree_from_json(text)
 
 
@@ -524,6 +589,34 @@ def test_structural_validation_rejects_bad_trees():
                 leaf(4, 2),
             ),
         )
+
+
+def test_structural_check_of_built_trees_rejects_bad_arrays():
+    # a builder hands over child pairs (None for a leaf), levels and each
+    # leaf's object; over three objects, node 4 joins node 3 = {0, 1} and 2
+    kids = [None, None, None, (0, 1), (3, 2)]
+    assert hierarchy._check_structure(3, kids, [0, 0, 0, 1, 2], range(5)) == [4, 3, 0, 1, 2]
+    for bad, levels, objects, message in [
+        ([None, None, None, (0, 1), (3, 5)], [0, 0, 0, 1, 2], range(5), "bad child ids"),
+        ([None, None, None, (0, 1), (3, 3)], [0, 0, 0, 1, 2], range(5), "one root"),
+        ([None, None, None, (0, 1), (4, 2)], [0, 0, 0, 1, 2], range(5), "one root"),
+        ([None, None, (0, 1)], [0, 0, 1], range(3), "one root"),
+        (kids, [0, 0, 0, 1, 2], [0, 0, 1, 0, 0], "objects 0..n-1"),
+        (kids, [0, 0, 0, 1, math.inf], range(5), "finite"),
+        (kids, [0, 0.5, 0, 1, 2], range(5), "leaf level"),
+        (kids, [0, 0, 0, 3, 2], range(5), "exceeds parent"),
+    ]:
+        with pytest.raises(dc.DivclustError, match=message):
+            hierarchy._check_structure(3, bad, levels, objects)
+
+
+def test_trees_never_change():
+    tree = caterpillar(5)
+    with pytest.raises(AttributeError):
+        tree.n = 6
+    with pytest.raises(ValueError):
+        tree.levels[0] = 1.0
+    assert tree == caterpillar(5) and hash(tree) == hash(caterpillar(5))
 
 
 @contextmanager

@@ -20,6 +20,9 @@ tables come from fixed seeds:
   mixture only: its k^4 search per split would take minutes there.
 
 A build that raises contributes its error's class name and message instead.
+Each tree's JSON text must also load back to the same text
+(``tree_to_json(tree_from_json(text)) == text``), so the run checks the
+loader on every build.
 
 A sixth digest, ``cophenetic``, runs over every build of every family and
 takes each tree's cophenetic values as their exact float64 bytes, so a
@@ -50,6 +53,7 @@ from divclust import (
     euclidean_from_data,
     generate_dataset,
     to_newick,
+    tree_from_json,
     tree_to_json,
     validate_matrix,
 )
@@ -119,8 +123,10 @@ def build_record(m: DissimilarityMatrix, token: str) -> tuple[bytes, bytes]:
     except DivclustError as exc:
         error = f"{type(exc).__name__}: {exc}".encode()
         return error, error
-    parts = (tree_to_json(tree), to_newick(tree), dendrogram_svg(tree),
-             f"{counts.s_plus} {counts.s_minus}")
+    text = tree_to_json(tree)
+    if tree_to_json(tree_from_json(text)) != text:
+        raise SystemExit(f"{token}: tree JSON does not load back to the same text")
+    parts = (text, to_newick(tree), dendrogram_svg(tree), f"{counts.s_plus} {counts.s_minus}")
     return "\0".join(parts).encode(), values.condensed.astype("<f8").tobytes()
 
 
