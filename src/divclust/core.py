@@ -8,6 +8,7 @@ index ``0..n-1``; clusters are ascending tuples of those indices.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -278,9 +279,20 @@ class Bipartition:
 
 def read_distance_csv(path) -> DissimilarityMatrix:
     """Load a plain headerless square CSV of dissimilarities."""
-    return validate_matrix(np.loadtxt(path, delimiter=",", dtype=float, ndmin=2))
+    return validate_matrix(_read_csv(path, 0))
 
 
 def read_data_csv(path, header: bool = False) -> np.ndarray:
     """Load an objects-by-variables CSV, optionally skipping one header row."""
-    return np.loadtxt(path, delimiter=",", dtype=float, ndmin=2, skiprows=1 if header else 0)
+    return _read_csv(path, 1 if header else 0)
+
+
+def _read_csv(path, skiprows: int) -> np.ndarray:
+    """A numeric CSV as a 2-D array; a file without data rows is an input error."""
+    with warnings.catch_warnings():
+        # numpy warns of an input without data and returns an empty array
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        table = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2, skiprows=skiprows)
+    if table.size == 0:
+        raise MatrixTooSmallError("input has no data rows")
+    return table

@@ -151,10 +151,16 @@ class Dendrogram:
 
     @property
     def root(self) -> DendrogramNode:
-        return self.nodes[self.preorder[0]]
+        """The root's record, whose members are every object."""
+        nid = self.preorder[0]
+        children = tuple(self.children[nid].tolist())  # n >= 2, so the root is internal
+        return DendrogramNode(nid, tuple(range(self.n)), float(self.levels[nid]), children)
 
     def leaves(self) -> tuple[DendrogramNode, ...]:
-        return tuple(node for node in self.nodes if node.is_leaf)
+        """Every leaf's record, in storage order."""
+        ids = np.flatnonzero(self.children[:, 0] < 0)
+        records = zip(ids.tolist(), self.order[self.start[ids]].tolist(), self.levels[ids].tolist())
+        return tuple(DendrogramNode(nid, (obj,), level) for nid, obj, level in records)
 
 
 def _check_records(n: int, ids, members, levels, kids) -> list[int]:

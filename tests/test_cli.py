@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -130,6 +131,24 @@ def test_cluster_rejects_bad_csv(tmp_path, content, capsys):
     rc = cli.main(["cluster", str(src), "--algo", "pddp", "--out", str(tmp_path / "t.json")])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "content, extra",
+    [("", []), ("x,y\n", ["--format", "data", "--header"])],
+    ids=["empty-distance-csv", "data-csv-header-only"],
+)
+def test_cluster_rejects_input_without_data_rows(tmp_path, content, extra, capsys):
+    # numpy warns of an input without data; the reader must turn that into one
+    # input error, also where warnings are errors
+    src = tmp_path / "empty.csv"
+    src.write_text(content)
+    args = ["cluster", str(src), *extra, "--algo", "pddp", "--out", str(tmp_path / "t.json")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(args)
+    assert rc == 2
+    assert capsys.readouterr().err == "error: input has no data rows\n"
 
 
 def test_cluster_missing_input_file(tmp_path, capsys):

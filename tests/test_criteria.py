@@ -170,6 +170,54 @@ def test_screen_stays_within_its_bands_on_random_tables(n):
         assert_screen_within_bands(random_matrix(8000 + 10 * n + seed, n)[0].square())
 
 
+@st.composite
+def scan_tables(draw):
+    """Integer tables of 12-24 objects that make the pair screens scan deep.
+
+    A third put the objects in one to three groups at distance zero, so that
+    candidates along the groups meet their first same-side pair (descending)
+    or crossing pair (ascending) past the first block of 64 pairs. A third
+    put one object at distance 2 from the rest, whose pairs are 0 or 1 but
+    for a single 3. The candidate that splits that object off meets its first
+    crossing pair after (k-1)(k-2)/2 - 1 others, in the scan's last block for
+    most k, and its single-link value is not the table's largest.
+    """
+    k = draw(st.integers(12, 24))
+    first, second = np.triu_indices(k, 1)
+    kind = draw(st.integers(0, 2))
+    values = draw(st.lists(st.integers(0, 3), min_size=first.size, max_size=first.size))
+    if kind == 1:
+        groups = draw(st.integers(1, 3))
+        labels = draw(st.lists(st.integers(0, groups - 1), min_size=k, max_size=k))
+        values = [
+            0 if labels[i] == labels[j] else max(v, 1) for i, j, v in zip(first, second, values)
+        ]
+    elif kind == 2:
+        far = draw(st.integers(0, k - 1))
+        spike = draw(st.sampled_from(np.flatnonzero((first != far) & (second != far)).tolist()))
+        values = [
+            2 if far in (i, j) else 3 if p == spike else min(v, 1)
+            for p, (i, j, v) in enumerate(zip(first, second, values))
+        ]
+    return k, [float(v) for v in values]
+
+
+@settings(derandomize=True, max_examples=90, deadline=None)
+@given(scan_tables())
+def test_pair_screens_match_the_oracle_across_scan_blocks(case):
+    # integer entries make every score exact, so the pair screens' values,
+    # found block by block, must equal the oracle's bitwise
+    k, values = case
+    s = square_from_condensed(k, values)
+    masks = np.unique(seed_pair_masks(np.asarray(s)), axis=0)
+    for token in ("single", "complete", "dunn"):
+        screen = CandidateScreen(dc.Criterion(token), np.asarray(s), np.triu_indices(k, 1))
+        scores, _ = screen.score(masks)
+        for mask, got in zip(masks, scores):
+            want = score(token, s, np.flatnonzero(mask).tolist(), np.flatnonzero(~mask).tolist())
+            assert got.tobytes() == np.float64(want).tobytes(), (token, mask)
+
+
 def test_silhouette_values_stay_in_unit_interval():
     m, _ = random_matrix(77, 10)
     b = dc.Bipartition((0, 1, 5, 9), (2, 3, 4, 6, 7, 8))

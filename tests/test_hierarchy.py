@@ -436,6 +436,18 @@ def test_cophenetic_is_the_level_of_the_smallest_common_node_on_a_deep_caterpill
     assert peak < 15e6
 
 
+def test_root_and_leaves_are_the_records_nodes_derives_on_a_deep_tree():
+    # root and leaves are read from the arrays, without deriving every
+    # node's members
+    tree = dc.build_hierarchy(caterpillar_matrix(400), "macnaughton-smith")
+    root, leaves = tree.root, tree.leaves()
+    assert "nodes" not in vars(tree)
+    internal = tree.children[tree.children[:, 0] >= 0]
+    assert (tree.sizes[internal].min(axis=1) == 1).all()  # a chain, 399 nodes deep
+    assert root == tree.nodes[tree.preorder[0]]
+    assert leaves == tuple(node for node in tree.nodes if node.is_leaf)
+
+
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(tie_heavy_matrices(), st.sampled_from(dc.DEFAULT_ALGORITHMS))
 def test_json_round_trip_is_lossless_and_idempotent(case, token):

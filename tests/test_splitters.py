@@ -180,12 +180,8 @@ def test_two_seeds_matches_exact_scoring_of_every_candidate(token):
         assert got == exact_loop_split(m, members, criterion)
 
 
-def test_two_seeds_rescores_each_distinct_mask_once(monkeypatch):
-    # separated groups make many seed pairs produce the same near-best split
-    rng = np.random.default_rng(0)
-    m = dc.euclidean_from_data(
-        np.concatenate([rng.normal(centre, 0.3, (20, 3)) for centre in (0.0, 8.0, 16.0)])
-    )
+def record_exact_calls(monkeypatch) -> list:
+    """(criterion, left members) of every CandidateScreen.exact call from now on."""
     calls = []
     exact = CandidateScreen.exact
 
@@ -194,10 +190,44 @@ def test_two_seeds_rescores_each_distinct_mask_once(monkeypatch):
         return exact(screen, mask)
 
     monkeypatch.setattr(CandidateScreen, "exact", recording)
+    return calls
+
+
+def square_of_groups(size: int) -> dc.DissimilarityMatrix:
+    """Four groups of ``size`` objects at the corners of a square: 1 within a
+    group, 5 to a neighbouring corner, 7 across the diagonal."""
+    corner = np.arange(4 * size) // size
+    apart = np.abs(corner[:, None] - corner[None, :])
+    table = np.choose(np.minimum(apart, 4 - apart), [1.0, 5.0, 7.0])
+    np.fill_diagonal(table, 0.0)
+    return dc.validate_matrix(table)
+
+
+def test_two_seeds_rescores_each_distinct_mask_once(monkeypatch):
+    # the two splits along the square's sides tie exactly, and many seed pairs
+    # produce each of them, so two different bipartitions contend within
+    # their nonzero bands and every distinct mask among them is rescored
+    m = square_of_groups(5)
+    calls = record_exact_calls(monkeypatch)
     for criterion in (dc.Criterion.AVERAGE_LINK, dc.Criterion.WARD_SZEKELY_RIZZO):
-        dc.two_seeds_split(m, range(60), criterion)
+        dc.two_seeds_split(m, range(20), criterion)
         assert any(c is criterion for c, _ in calls)
     assert len(calls) == len(set(calls))
+
+
+def test_two_seeds_returns_a_lone_contending_bipartition_unscored(monkeypatch):
+    # separated groups make many seed pairs produce the same near-best split,
+    # in both orientations: one bipartition contends, so nothing is rescored
+    rng = np.random.default_rng(0)
+    m = dc.euclidean_from_data(
+        np.concatenate([rng.normal(centre, 0.3, (20, 3)) for centre in (0.0, 8.0, 16.0)])
+    )
+    for criterion in (dc.Criterion.AVERAGE_LINK, dc.Criterion.WARD_SZEKELY_RIZZO):
+        calls = record_exact_calls(monkeypatch)
+        got = dc.two_seeds_split(m, range(60), criterion)
+        assert calls == []
+        monkeypatch.undo()
+        assert got == exact_loop_split(m, range(60), criterion)
 
 
 def test_macnaughton_smith_line4(line4):
