@@ -209,9 +209,10 @@ def test_pair_screens_match_the_oracle_across_scan_blocks(case):
     # found block by block, must equal the oracle's bitwise
     k, values = case
     s = square_from_condensed(k, values)
-    masks = np.unique(seed_pair_masks(np.asarray(s)), axis=0)
+    sub = np.asarray(s)
+    masks = np.unique(seed_pair_masks(sub), axis=0)
     for token in ("single", "complete", "dunn"):
-        screen = CandidateScreen(dc.Criterion(token), np.asarray(s), np.triu_indices(k, 1))
+        screen = CandidateScreen(dc.Criterion(token), sub, np.triu_indices(k, 1))
         scores, _ = screen.score(masks)
         for mask, got in zip(masks, scores):
             want = score(token, s, np.flatnonzero(mask).tolist(), np.flatnonzero(~mask).tolist())
