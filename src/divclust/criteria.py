@@ -45,12 +45,11 @@ def parse_criterion(token: str) -> Criterion:
 
 _PAIR_SCREENS = frozenset({Criterion.SINGLE_LINK, Criterion.COMPLETE_LINK, Criterion.DUNN})
 
-# Candidates times k^2 in one chunk: the multiply-adds of its table product,
-# and twice the bytes of a pair screen's boolean table. OpenBLAS computes
-# products up to 2^18 on the calling thread and larger ones on its thread
-# pool, whose threads only contend for the cores when a process pool already
-# fills them: a 2-worker grid ran 35 % slower with 40-object products in one
-# piece.
+# Candidates times k^2 in one chunk: the multiply-adds of its table product.
+# OpenBLAS computes products up to 2^18 on the calling thread and larger ones
+# on its thread pool, whose threads only contend for the cores when a process
+# pool already fills them: a 2-worker grid ran 35 % slower with 40-object
+# products in one piece.
 _CHUNK_PRODUCT = 1 << 18
 
 # Pairs a pair screen compares per step of its scan, so a step holds C-by-64

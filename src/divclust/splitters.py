@@ -120,40 +120,39 @@ def two_seeds_split(
 
 
 def _two_seeds_mask(sub: np.ndarray, criterion: Criterion) -> np.ndarray:
-    """Winning two-seeds candidate of a cluster's table, as a mask True on its first member's side.
+    """Winning two-seeds candidate of a cluster's table, as seed i's side mask.
 
-    The seed pairs' masks are built and screened one chunk at a time, except
-    that a cluster whose pairs fit in one chunk keeps its masks; no step holds
-    more than one chunk of masks, however many candidates contend.
+    The seed pairs' masks are built and screened one chunk at a time, and
+    rebuilt one chunk at a time where contenders are compared or rescored; no
+    step holds more than one chunk of masks, however many candidates contend.
+    Contenders that all make one bipartition return it, unscored, on the
+    first member's side; ``split_mask`` orients every winner that way.
     """
     a, b = _upper_pairs(len(sub))  # every (a, b) with a < b, in lexicographic order
     screen = CandidateScreen(criterion, sub, (a, b))
-    # the masks of a single chunk are kept, those of more chunks rebuilt when needed
-    every = _pair_masks(sub, a, b) if a.size <= screen.chunk else None
 
     def chunks(which):
         for start in range(0, which.size, screen.chunk):
             part = which[start : start + screen.chunk]
-            yield _pair_masks(sub, a[part], b[part]) if every is None else every[part]
+            yield _pair_masks(sub, a[part], b[part])
 
-    if every is None:
-        screened = [screen.score(masks) for masks in chunks(np.arange(a.size))]
-        scores = np.concatenate([chunk[0] for chunk in screened])
-        bands = np.concatenate([chunk[1] for chunk in screened])
-    else:
-        scores, bands = screen.score(every)
+    screened = [screen.score(masks) for masks in chunks(np.arange(a.size))]
+    scores = np.concatenate([chunk[0] for chunk in screened])
+    bands = np.concatenate([chunk[1] for chunk in screened])
     # every candidate that can reach the best lower bound (an infinite band
     # has none); a NaN anywhere fails every comparison and keeps them all, as
     # exact scoring would see them
     lower = np.subtract(scores, bands, out=np.full_like(scores, -np.inf), where=bands != np.inf)
-    contenders = (~(scores + bands < lower.max())).nonzero()[0]
+    contenders = np.flatnonzero(~(scores + bands < np.max(lower)))
     if not bands[contenders].any():
         # a zero band is an exact score, so every contender scores the best
-        return _first_side(next(chunks(contenders[:1])))[0]
-    # the exact scores only choose among bipartitions: with one, they choose nothing
+        first = contenders[:1]
+        return _pair_masks(sub, a[first], b[first])[0]
+    # the exact scores only choose among bipartitions: with one, they choose
+    # nothing; the masks are turned to the first member's side to compare them
     lone = None
     for masks in chunks(contenders):
-        masks = _first_side(masks)
+        masks ^= ~masks[:, :1]
         if lone is None:
             lone = masks[0]
         if (masks != lone).any():
@@ -172,13 +171,7 @@ def _two_seeds_mask(sub: np.ndarray, criterion: Criterion) -> np.ndarray:
             score = screen.exact(mask)
             if score > best:
                 best, winner = score, mask
-    return _first_side(winner[None])[0]
-
-
-def _first_side(masks: np.ndarray) -> np.ndarray:
-    """Each mask turned, in place, to be True on the side of the first member."""
-    masks ^= ~masks[:, :1]
-    return masks
+    return winner
 
 
 def macnaughton_smith_split(m: DissimilarityMatrix, members) -> Bipartition:
@@ -500,10 +493,10 @@ def split_mask(sub: np.ndarray, splitter: Splitter) -> np.ndarray:
     Each splitter decides on the table brought into the magnitude window,
     which is exact, so it decides alike at every scale.
     """
-    if splitter.kind == TWO_SEEDS:
-        return _two_seeds_mask(_into_window(sub)[0], splitter.criterion)
     if splitter.kind == MACNAUGHTON_SMITH:
         mask = _macnaughton_smith_mask(sub)[0]
+    elif splitter.kind == TWO_SEEDS:
+        mask = _two_seeds_mask(_into_window(sub)[0], splitter.criterion)
     else:
         mask = _pddp_mask(_into_window(sub)[0])
     return mask if mask[0] else ~mask
