@@ -11,7 +11,6 @@ count of valid cells per algorithm.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,6 +147,9 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
     if workers <= 1:
         rows = [_dataset_row(job) for job in jobs]
     else:
+        # imported here so that commands without workers never load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_dataset_row, jobs, chunksize=1))
     return ResultTable(config.algorithms, tuple(rows))

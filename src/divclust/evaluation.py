@@ -123,7 +123,12 @@ def cpcc(d: DissimilarityMatrix, u: DissimilarityMatrix) -> float:
 
     Each vector is first brought into the magnitude window by an exact power
     of two, which leaves the correlation bitwise unchanged, so the sums of
-    squares neither overflow nor underflow.
+    squares neither overflow nor underflow. The three sums of products are
+    numpy's pairwise summation (``np.add.reduce``) over the elementwise
+    products, a fixed-order reduction with no BLAS call, so the value has
+    the same bits at any BLAS thread count. Its error bound is no worse than
+    a dot product's (N. J. Higham, "The accuracy of floating point
+    summation", SIAM J. Sci. Comput. 14, 1993).
     """
     if d.n != u.n:
         raise SizeMismatchError(f"matrix sizes differ: {d.n} vs {u.n}")
@@ -131,8 +136,10 @@ def cpcc(d: DissimilarityMatrix, u: DissimilarityMatrix) -> float:
     uv = _into_window(u.condensed)[0]
     x = dv - dv.mean()
     y = uv - uv.mean()
-    sx = float(x @ x)
-    sy = float(y @ y)
+    products = np.multiply(x, x)
+    sx = float(np.add.reduce(products))
+    sy = float(np.add.reduce(np.multiply(y, y, out=products)))
     if sx == 0.0 or sy == 0.0:
         raise ZeroVarianceError("correlation undefined for a constant vector")
-    return float(x @ y) / float(np.sqrt(sx * sy))
+    sxy = float(np.add.reduce(np.multiply(x, y, out=products)))
+    return sxy / float(np.sqrt(sx * sy))

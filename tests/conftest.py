@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -29,6 +34,19 @@ MEAN_TIE_TABLE = 0.1 * np.array([
     [3, 3, 2, 3, 2, 0, 2],
     [2, 3, 3, 4, 3, 2, 0],
 ])
+
+
+SRC = str(Path(dc.__file__).resolve().parents[1])
+
+
+def run_python(code: str, **env: str) -> str:
+    """Stdout of ``code`` run in a fresh interpreter that imports this package."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    variables = {**os.environ, **env, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=variables, capture_output=True, text=True, check=True
+    )
+    return done.stdout
 
 
 @pytest.fixture

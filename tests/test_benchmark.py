@@ -1,9 +1,11 @@
+import concurrent.futures
 import math
 
 import numpy as np
 import pytest
 
 import divclust as dc
+from conftest import run_python
 from divclust import benchmark
 from divclust.benchmark import _dataset_row, _mix64
 
@@ -100,7 +102,7 @@ def pools(monkeypatch):
             self.chunksizes.append(chunksize)
             return map(fn, jobs)
 
-    monkeypatch.setattr(benchmark, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     return made
 
 
@@ -128,6 +130,11 @@ def test_run_experiment_runs_inline_on_one_usable_core(monkeypatch, pools):
     )
     assert len(dc.run_experiment(config).cells) == 3
     assert pools == []
+
+
+def test_importing_the_cli_leaves_the_process_pool_unloaded():
+    probe = "import sys, divclust.cli; print('concurrent.futures.process' in sys.modules)"
+    assert run_python(probe) == "False\n"
 
 
 def test_dataset_row_records_failed_cells_as_missing():

@@ -1,11 +1,18 @@
+import copy
+import io
 import json
 import math
 import re
+import tempfile
 import warnings
 import xml.etree.ElementTree as ET
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import divclust as dc
 import divclust.cli as cli
@@ -354,3 +361,164 @@ def test_caterpillar_deeper_than_the_recursion_limit(tmp_path):
     ns = "{http://www.w3.org/2000/svg}"
     assert len(root.findall(f".//{ns}path")) == n - 1
     assert len(root.findall(f".//{ns}text")) == n
+
+
+# The CLI contract, swept: whatever the CSV text and tree JSON, every
+# subcommand exits 0 with an empty stderr or 2 with one "error:" line, also
+# where warnings are errors.
+
+ALGORITHMS = list(dc.DEFAULT_ALGORITHMS) + ["two-seeds:bogus"]
+
+# odd numbers a CSV may hold: the float extremes, subnormals, and text that
+# is not a finite number
+EXTREME_CELLS = [
+    "1.7976931348623157e308", "1.7e308", "1e300", "1e-300", "2.2e-310", "5e-324",
+    "-1.7e308", "-5e-324", "1e999", "nan", "inf", "-inf", "x", "", " 3 ", "0x10",
+]
+
+distances = st.one_of(
+    st.integers(0, 3).map(str),
+    st.floats(0.0, 10.0).map(repr),
+    st.floats(min_value=0.0, allow_infinity=False).map(repr),
+)
+coordinates = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+
+
+def _mostly(value):
+    """``value`` three times in four, else its opposite."""
+    return st.sampled_from([value, value, value, not value])
+
+
+@st.composite
+def csv_inputs(draw):
+    """CSV text and the reading options for it: a square table (symmetric
+    with a zero diagonal) read with ``--format dist``, or an
+    objects-by-variables table read with ``--format data``, corrupted in the
+    ways files are, and now and then read with the other options."""
+    k = draw(st.integers(0, 6))
+    square = draw(st.booleans())
+    if square:
+        rows = [["0"] * k for _ in range(k)]
+        for i in range(k):
+            for j in range(i + 1, k):
+                rows[i][j] = rows[j][i] = draw(distances)
+    else:
+        width = draw(st.integers(1, 3))
+        rows = [[draw(coordinates) for _ in range(width)] for _ in range(k)]
+    faults = draw(st.lists(st.sampled_from(["extreme", "drop", "extra", "blank-row", "header"]),
+                           max_size=2)) if rows else []
+    for fault in faults:
+        row = draw(st.sampled_from(rows))
+        if fault == "extreme" and row:
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(EXTREME_CELLS))
+        elif fault == "drop" and row:
+            del row[draw(st.integers(0, len(row) - 1))]
+        elif fault == "extra":
+            row.append(draw(distances))
+        elif fault == "blank-row":
+            rows.insert(draw(st.integers(0, len(rows))), [])
+        elif fault == "header":
+            rows.insert(0, [f"v{i}" for i in range(len(rows[0]) or 1)])
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = "".join(",".join(row) + newline for row in rows)
+    reading = ["--format", "dist" if draw(_mostly(square)) else "data"]
+    if draw(_mostly("header" in faults)):
+        reading.append("--header")
+    return draw(st.sampled_from(["", "", "", "\ufeff"])) + text, reading
+
+
+def _line4_tree():
+    points = np.array([[0.0], [1.0], [10.0], [11.0]])
+    tree = dc.build_hierarchy(dc.euclidean_from_data(points), "pddp")
+    return json.loads(dc.tree_to_json(tree))
+
+
+LINE4_TREE = _line4_tree()
+ODD_JSON_VALUES = [
+    None, True, "0", -1, 0, 3, 10**400, 0.5, -0.0, float("nan"), float("inf"), [], {}, [0, 1],
+]
+
+
+def _json_paths(value, path=()):
+    yield path
+    if isinstance(value, (dict, list)):
+        for key, child in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from _json_paths(child, path + (key,))
+
+
+TREE_PATHS = list(_json_paths(LINE4_TREE))[1:]
+
+
+@st.composite
+def tree_texts(draw):
+    """A 4-leaf tree's JSON with values replaced or deleted, then maybe cut
+    short or nested deeper than the parser may go."""
+    payload = copy.deepcopy(LINE4_TREE)
+    for _ in range(draw(st.integers(0, 2))):
+        *head, last = draw(st.sampled_from(TREE_PATHS))
+        try:
+            parent = payload
+            for key in head:
+                parent = parent[key]
+            if draw(st.booleans()):
+                parent[last] = draw(st.sampled_from(ODD_JSON_VALUES))
+            else:
+                del parent[last]
+        except (KeyError, IndexError, TypeError):
+            pass  # an earlier mutation took this path away
+    text = json.dumps(payload)
+    if draw(st.booleans()):
+        text = text[: draw(st.integers(0, len(text) - 1))]
+    depth = draw(st.sampled_from([0, 0, 1, 100_000]))
+    return "[" * depth + text + "]" * depth
+
+
+def _run_cli(argv: list[str]) -> int:
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = cli.main(argv)
+    assert code in (0, 2), err.getvalue()
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert re.fullmatch(r"error: [^\n]*\n", err.getvalue()), err.getvalue()
+    return code
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    csv=csv_inputs(),
+    algo=st.sampled_from(ALGORITHMS),
+    metrics=st.sampled_from(["gk,tau,cpcc", "cpcc", "tau,gk", "gk,", "cpcc,xyz"]),
+    tree=tree_texts(),
+    bench=st.tuples(
+        st.sampled_from([1, 2, 0]),
+        st.sampled_from([4, 6, 3, 2]),
+        st.sampled_from([1, 2, 0]),
+        st.integers(-(2**70), 2**70),
+        st.sampled_from([1, 0]),  # more threads would start worker processes
+    ),
+)
+@example(csv=("", ["--format", "dist"]), algo="pddp", metrics="cpcc",
+         tree=json.dumps(LINE4_TREE), bench=(1, 4, 1, 0, 1))
+@example(csv=("x,y\n", ["--format", "data", "--header"]), algo="pddp", metrics="cpcc",
+         tree=json.dumps(LINE4_TREE), bench=(1, 4, 1, 0, 1))
+def test_every_subcommand_exits_0_or_2_with_one_error_line(csv, algo, metrics, tree, bench):
+    text, reading = csv
+    with tempfile.TemporaryDirectory() as scratch:
+        work = Path(scratch)
+        source, stored, built = work / "in.csv", work / "stored.json", work / "built.json"
+        source.write_text(text, encoding="utf-8")
+        stored.write_text(tree, encoding="utf-8")
+        cluster = ["cluster", str(source), *reading, "--algo", algo, "--out", str(built),
+                   "--newick", str(work / "built.nwk")]
+        trees = [stored] + ([built] if _run_cli(cluster) == 0 else [])
+        for path in trees:
+            _run_cli(["eval", "--tree", str(path), "--input", str(source), *reading,
+                      "--metrics", metrics])
+            _run_cli(["plot", "--tree", str(path), "--out", str(work / "tree.svg")])
+        datasets, objects, variables, seed, threads = map(str, bench)
+        _run_cli(["bench", "--datasets", datasets, "--objects", objects, "--vars", variables,
+                  "--seed", seed, "--threads", threads, "--out", str(work / "summary.csv"),
+                  "--cells", str(work / "cells.csv")])

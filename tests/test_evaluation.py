@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import divclust as dc
-from conftest import random_matrix, tie_heavy_matrices
+from conftest import random_matrix, run_python, tie_heavy_matrices
 from helpers import concordance_counts, pearson
 
 
@@ -187,6 +187,26 @@ def test_cpcc_is_scale_free_at_extreme_magnitudes():
     for factor in (1e300, 1e-200):
         scaled = dc.DissimilarityMatrix(12, m.condensed * factor)
         assert dc.cpcc(scaled, u) == pytest.approx(base, rel=1e-12)
+
+
+# CPCC of the 150-point, 5-centre mixture against two of its trees; above
+# about 10 000 object pairs OpenBLAS splits a dot product over its threads
+CPCC_OF_THE_MIXTURE = """
+import numpy as np
+import divclust as dc
+rng = np.random.default_rng(7)
+centres = rng.uniform(-6.0, 6.0, (5, 10))
+m = dc.euclidean_from_data(np.concatenate([c + rng.normal(size=(30, 10)) for c in centres]))
+for token in ("average-agglomerative", "pddp"):
+    print(float.hex(dc.cpcc(m, dc.cophenetic(dc.build_hierarchy(m, token)))))
+"""
+
+
+def test_cpcc_has_the_same_bits_at_any_blas_thread_count():
+    one = run_python(CPCC_OF_THE_MIXTURE, OPENBLAS_NUM_THREADS="1")
+    two = run_python(CPCC_OF_THE_MIXTURE, OPENBLAS_NUM_THREADS="2")
+    assert len(one.split()) == 2
+    assert one == two
 
 
 def test_cpcc_rejects_degenerate_inputs():

@@ -26,7 +26,10 @@ loader on every build.
 
 A sixth digest, ``cophenetic``, runs over every build of every family and
 takes each tree's cophenetic values as their exact float64 bytes, so a
-rewrite of ``cophenetic`` can prove it gives bitwise the same values.
+rewrite of ``cophenetic`` can prove it gives bitwise the same values. A
+seventh, ``cpcc``, takes each build's CPCC against its table as its float64
+bytes, or the error's class name where CPCC is undefined, so a rewrite of
+``cpcc`` can prove the same.
 
 Run from the repository root:
 
@@ -49,6 +52,7 @@ from divclust import (
     build_hierarchy,
     concordance,
     cophenetic,
+    cpcc,
     dendrogram_svg,
     euclidean_from_data,
     generate_dataset,
@@ -114,20 +118,24 @@ def families() -> dict[str, list[tuple[DissimilarityMatrix, tuple[str, ...]]]]:
     }
 
 
-def build_record(m: DissimilarityMatrix, token: str) -> tuple[bytes, bytes]:
-    """Every output of one build, as bytes, and its exact cophenetic values."""
+def build_record(m: DissimilarityMatrix, token: str) -> tuple[bytes, bytes, bytes]:
+    """Every output of one build, as bytes, its exact cophenetic values and CPCC."""
     try:
         tree = build_hierarchy(m, token)
         values = cophenetic(tree)
         counts = concordance(m, values)
     except DivclustError as exc:
         error = f"{type(exc).__name__}: {exc}".encode()
-        return error, error
+        return error, error, error
     text = tree_to_json(tree)
     if tree_to_json(tree_from_json(text)) != text:
         raise SystemExit(f"{token}: tree JSON does not load back to the same text")
     parts = (text, to_newick(tree), dendrogram_svg(tree), f"{counts.s_plus} {counts.s_minus}")
-    return "\0".join(parts).encode(), values.condensed.astype("<f8").tobytes()
+    try:
+        score = np.array(cpcc(m, values), dtype="<f8").tobytes()
+    except DivclustError as exc:
+        score = type(exc).__name__.encode()
+    return "\0".join(parts).encode(), values.condensed.astype("<f8").tobytes(), score
 
 
 def main() -> None:
@@ -135,20 +143,24 @@ def main() -> None:
     parser.add_argument("--each", action="store_true", help="also print one digest per build")
     args = parser.parse_args()
     values_digest = hashlib.sha256()
+    cpcc_digest = hashlib.sha256()
     total = 0
     for family, tables in families().items():
         digest = hashlib.sha256()
         for index, (m, tokens) in enumerate(tables):
             for token in tokens:
-                record, values = build_record(m, token)
+                record, values, score = build_record(m, token)
                 digest.update(f"{index} {token}\0".encode() + record + b"\0")
-                values_digest.update(f"{family} {index} {token}\0".encode() + values + b"\0")
+                build = f"{family} {index} {token}\0".encode()
+                values_digest.update(build + values + b"\0")
+                cpcc_digest.update(build + score + b"\0")
                 if args.each:
                     print(family, index, token, hashlib.sha256(record).hexdigest()[:16])
         builds = sum(len(tokens) for _, tokens in tables)
         total += builds
         print(f"{family}: {builds} builds {digest.hexdigest()}")
     print(f"cophenetic: {total} builds {values_digest.hexdigest()}")
+    print(f"cpcc: {total} builds {cpcc_digest.hexdigest()}")
 
 
 if __name__ == "__main__":
