@@ -36,6 +36,11 @@ def condensed_size(n: int) -> int:
     return n * (n - 1) // 2
 
 
+def _upper(n: int) -> np.ndarray:
+    """The strict upper triangle of an n-by-n table as a mask; row-major, the packed order."""
+    return ~np.tri(n, dtype=bool)
+
+
 def pair_index(n: int, i: int, j: int) -> int:
     """Position of the unordered pair ``(i, j)`` in the packed upper triangle.
 
@@ -105,9 +110,9 @@ class DissimilarityMatrix:
         """Full symmetric n-by-n view (read-only, built once and cached)."""
         if self._square is None:
             sq = np.zeros((self.n, self.n))
-            iu = np.triu_indices(self.n, 1)
-            sq[iu] = self._values
-            sq.T[iu] = self._values
+            upper = _upper(self.n)
+            sq[upper] = self._values
+            sq.T[upper] = self._values
             sq.setflags(write=False)
             self._square = sq
         return self._square
@@ -134,9 +139,9 @@ def validate_matrix(raw: np.ndarray | Sequence[Sequence[float]]) -> Dissimilarit
     diag = np.diagonal(arr)
     if (np.abs(diag) > DIAGONAL_ATOL).any():
         raise NonZeroDiagonalError("diagonal entries must be zero")
-    iu = np.triu_indices(n, 1)
-    upper = arr[iu]
-    lower = arr.T[iu]
+    mask = _upper(n)
+    upper = arr[mask]
+    lower = arr.T[mask]
     tol = SYMMETRY_RTOL * np.maximum(1.0, np.abs(upper))
     with np.errstate(over="ignore"):  # an overflowing difference is inf, beyond any tolerance
         if (np.abs(upper - lower) > tol).any():
@@ -166,7 +171,7 @@ def euclidean_from_data(data: np.ndarray | Sequence[Sequence[float]]) -> Dissimi
         raise DivclustError("a data table needs at least 1 variable")
     if not np.isfinite(arr).all():
         raise NonFiniteEntryError("data entries must be finite")
-    ii, jj = np.triu_indices(arr.shape[0], 1)
+    ii, jj = np.nonzero(_upper(arr.shape[0]))
     with np.errstate(over="ignore"):
         diff = arr[ii] - arr[jj]
         total = (diff * diff).sum(axis=1)
@@ -234,7 +239,7 @@ def cluster_stats(
     aa = object_set(a)
     _check_range(aa, m.n)
     square = m.square()
-    within = square.take(aa, 0).take(aa, 1)[np.triu_indices(len(aa), 1)]
+    within = square.take(aa, 0).take(aa, 1)[_upper(len(aa))]
     # a singleton has no within pairs: diameter and mean are zero
     stats = (float(within.max(initial=0.0)), float(within.mean()) if within.size else 0.0)
     if b is None:

@@ -19,7 +19,7 @@ from functools import cache
 
 import numpy as np
 
-from .core import Bipartition, DissimilarityMatrix, _check_range, _into_window
+from .core import Bipartition, DissimilarityMatrix, _check_range, _into_window, _upper
 from .errors import DivclustError, ObjectNotInBipartitionError
 
 
@@ -223,7 +223,7 @@ def _kept_pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
-    pairs = np.nonzero(~np.tri(k, dtype=bool))
+    pairs = np.nonzero(_upper(k))
     for index in pairs:
         index.setflags(write=False)
     return pairs

@@ -67,9 +67,10 @@ class Dendrogram:
     before its second's.
 
     ``Dendrogram(n, nodes)`` takes the tree as ``DendrogramNode`` records and
-    re-checks every invariant, members included. The builders hand over
-    children, levels and leaf objects and get only the structural check:
-    members read from the leaf order partition their parent by construction.
+    checks their members, then gives them the structural check every tree
+    gets. The builders hand over children, levels and leaf objects and get
+    only that check: members read from the leaf order partition their parent
+    by construction.
     ``nodes`` derives every node's members, ascending, when first read. A
     Dendrogram in hand is always well-formed and never changes.
     """
@@ -164,57 +165,42 @@ class Dendrogram:
 
 
 def _check_records(n: int, ids, members, levels, kids) -> list[int]:
-    """Check a tree given with every node's members (lists); return its preorder."""
+    """Check a tree's member lists without a walk, then its structure; return its preorder."""
     if n < 2:
         raise DivclustError("a dendrogram needs at least 2 objects")
     if len(ids) != 2 * n - 1:
         raise DivclustError(f"expected {2 * n - 1} nodes for n={n}, got {len(ids)}")
-    for pos, (nid, ms, level) in enumerate(zip(ids, members, levels)):
+    for pos, (nid, ms, pair) in enumerate(zip(ids, members, kids)):
         if nid != pos:
             raise DivclustError("node ids must be 0..2n-2 in storage order")
         if not ms:
             raise DivclustError("node has no members")
         if ms[0] < 0 or ms[-1] >= n:
             raise DivclustError("node members out of range")
-        if not math.isfinite(level) or level < 0.0:
-            raise DivclustError("node level must be finite and nonnegative")
-    # No node is empty, so a child has fewer members than its parent and the
-    # walk ends. Children partition their parent, so it reaches no node twice,
-    # and all of them exactly when the tree is whole; with the root 0..n-1,
-    # every node it reaches is then strictly ascending.
-    preorder: list[int] = []
-    stack = [pos for pos, ms in enumerate(members) if len(ms) == n][:1]
-    if stack and members[stack[0]] != list(range(n)):
-        raise DivclustError("node members must be strictly ascending")
-    while stack:
-        nid = stack.pop()
-        preorder.append(nid)
-        if kids[nid] is None:
-            if len(members[nid]) != 1:
+        if pair is None:
+            if len(ms) != 1:
                 raise DivclustError("leaf node must be a singleton")
-            if levels[nid] != 0.0:
-                raise DivclustError("leaf level must be zero")
-            continue
-        ca, cb = kids[nid]
-        if not (0 <= ca < len(ids) and 0 <= cb < len(ids)) or ca == cb:
+        elif min(pair) < 0 or max(pair) >= len(ids) or pair[0] == pair[1]:
             raise DivclustError("bad child ids")
-        # the parent is strictly ascending, so equal children cannot overlap
-        if sorted(members[ca] + members[cb]) != members[nid]:
+    root = next((ms for ms in members if len(ms) == n), None)
+    if root is not None and root != list(range(n)):
+        raise DivclustError("node members must be strictly ascending")
+    # A record that passes costs its own length, so this is linear in the
+    # members given. Once the shape holds, every node's members are then its
+    # leaves' objects, sorted, and with the root 0..n-1 strictly ascending.
+    for ms, pair in zip(members, kids):
+        if pair is not None and sorted(members[pair[0]] + members[pair[1]]) != ms:
             raise DivclustError("children must partition their parent")
-        if levels[ca] > levels[nid] or levels[cb] > levels[nid]:
-            raise DivclustError("child level exceeds parent level")
-        stack.extend((cb, ca))
-    if len(preorder) != len(ids):
-        raise DivclustError("dendrogram must have one root covering all objects")
-    return preorder
+    return _check_structure(n, kids, levels, [ms[0] for ms in members])
 
 
 def _check_structure(n: int, kids, levels, objects) -> list[int]:
-    """Check a builder's tree, which carries no members; return its preorder.
+    """Check a tree's shape, levels and leaves; return its preorder.
 
     One root, every node reached once from it, leaves holding the objects
     0..n-1, and levels finite, nonnegative, zero at the leaves and never
-    above the parent's.
+    above the parent's. The one walk that checks a tree: records get it
+    after ``_check_records`` has checked their members.
     """
     claimed = [c for pair in kids if pair is not None for c in pair]
     if not all(0 <= c < len(kids) for c in claimed):

@@ -182,7 +182,9 @@ def macnaughton_smith_split(m: DissimilarityMatrix, members) -> Bipartition:
     a(x) - b(x), the silhouette's means to the rest of the remainder and to
     the splinter, moves over while that gap is positive, ties taking the
     smallest index. A lone remaining member has a(x) = 0 and never moves, so
-    the remainder may end with one member.
+    the remainder may end with one member. Ties are of the gaps as computed
+    in floating point, where gaps equal in exact arithmetic can differ in
+    their last bit.
     """
     return split_cluster(m, members, Splitter(MACNAUGHTON_SMITH))
 
@@ -448,8 +450,9 @@ def pddp_split(m: DissimilarityMatrix, members) -> Bipartition:
     Objects split by coordinate sign on the first principal axis (negative
     side left). Passes in ascending member order then move each object whose
     silhouette mean a(x) to the rest of its side exceeds its mean b(x) to the
-    other side, until nothing moves or for Card(C) passes. Propagates
-    NoPositiveEigenvalueError for degenerate clusters.
+    other side, until nothing moves or for Card(C) passes, comparing the means
+    as computed in floating point, where exact ties may read either way.
+    Propagates NoPositiveEigenvalueError for degenerate clusters.
     """
     return split_cluster(m, members, Splitter(PDDP))
 

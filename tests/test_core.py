@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -179,6 +181,18 @@ def test_square_and_value_agree_with_packed_layout():
             assert sq[i, j] == v
             assert sq[j, i] == v
             assert m.value(i, j) == v
+
+
+def test_square_of_a_large_matrix_holds_little_beside_the_table():
+    m = dc.DissimilarityMatrix(1100, np.arange(dc.condensed_size(1100), dtype=float))
+    # the 1100 x 1100 table (9.7 MB) and a boolean mask of the same shape (1.2 MB)
+    tracemalloc.start()
+    try:
+        m.square()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6
 
 
 def test_matrix_views_are_readonly():

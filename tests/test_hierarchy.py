@@ -559,48 +559,61 @@ def leaf(i: int, obj: int) -> dc.DendrogramNode:
     return dc.DendrogramNode(i, (obj,), 0.0)
 
 
+ROOT = dc.DendrogramNode(0, (0, 1), 5.0, (1, 2))
+# (n, records, message) of trees that each break one invariant; their ids
+# are in storage order
+BAD_TREES = [
+    (2, (ROOT, leaf(1, 0)), "expected 3 nodes"),
+    (2, (dc.DendrogramNode(0, (1, 0), 5.0, (1, 2)), leaf(1, 0), leaf(2, 1)), "ascending"),
+    (2, (dc.DendrogramNode(0, (0, 2), 5.0, (1, 2)), leaf(1, 0), leaf(2, 2)), "out of range"),
+    (2, (ROOT, dc.DendrogramNode(1, (0,), 1.0), leaf(2, 1)), "leaf level"),
+    (2, (dc.DendrogramNode(0, (0, 1), 5.0), leaf(1, 0), leaf(2, 1)), "singleton"),
+    (2, (dc.DendrogramNode(0, (0, 1), 5.0, (1, 1)), leaf(1, 0), leaf(2, 1)), "bad child ids"),
+    (2, (ROOT, leaf(1, 0), leaf(2, 0)), "partition"),
+    (2, (dc.DendrogramNode(0, (0, 1), -1.0, (1, 2)), leaf(1, 0), leaf(2, 1)), "nonnegative"),
+    (
+        3,
+        (
+            dc.DendrogramNode(0, (0, 1, 2), 1.0, (1, 2)),
+            dc.DendrogramNode(1, (0, 1), 2.0, (3, 4)),
+            leaf(2, 2),
+            leaf(3, 0),
+            leaf(4, 1),
+        ),
+        "exceeds parent",
+    ),
+    (
+        3,
+        (
+            dc.DendrogramNode(0, (0, 1), 1.0, (1, 2)),
+            leaf(1, 0),
+            leaf(2, 1),
+            leaf(3, 2),
+            leaf(4, 2),
+        ),
+        "one root",
+    ),
+]
+
+
 def test_structural_validation_rejects_bad_trees():
-    root = dc.DendrogramNode(0, (0, 1), 5.0, (1, 2))
-    with pytest.raises(dc.DivclustError, match="expected 3 nodes"):
-        dc.Dendrogram(2, (root, leaf(1, 0)))
     with pytest.raises(dc.DivclustError, match="storage order"):
-        dc.Dendrogram(2, (root, leaf(2, 1), leaf(1, 0)))
-    with pytest.raises(dc.DivclustError, match="ascending"):
-        dc.Dendrogram(2, (dc.DendrogramNode(0, (1, 0), 5.0, (1, 2)), leaf(1, 0), leaf(2, 1)))
-    with pytest.raises(dc.DivclustError, match="out of range"):
-        dc.Dendrogram(2, (dc.DendrogramNode(0, (0, 2), 5.0, (1, 2)), leaf(1, 0), leaf(2, 2)))
-    with pytest.raises(dc.DivclustError, match="leaf level"):
-        dc.Dendrogram(2, (root, dc.DendrogramNode(1, (0,), 1.0), leaf(2, 1)))
-    with pytest.raises(dc.DivclustError, match="singleton"):
-        dc.Dendrogram(2, (dc.DendrogramNode(0, (0, 1), 5.0), leaf(1, 0), leaf(2, 1)))
-    with pytest.raises(dc.DivclustError, match="bad child ids"):
-        dc.Dendrogram(2, (dc.DendrogramNode(0, (0, 1), 5.0, (1, 1)), leaf(1, 0), leaf(2, 1)))
-    with pytest.raises(dc.DivclustError, match="partition"):
-        dc.Dendrogram(2, (root, leaf(1, 0), leaf(2, 0)))
-    with pytest.raises(dc.DivclustError, match="nonnegative"):
-        dc.Dendrogram(2, (dc.DendrogramNode(0, (0, 1), -1.0, (1, 2)), leaf(1, 0), leaf(2, 1)))
-    with pytest.raises(dc.DivclustError, match="exceeds parent"):
-        dc.Dendrogram(
-            3,
-            (
-                dc.DendrogramNode(0, (0, 1, 2), 1.0, (1, 2)),
-                dc.DendrogramNode(1, (0, 1), 2.0, (3, 4)),
-                leaf(2, 2),
-                leaf(3, 0),
-                leaf(4, 1),
-            ),
-        )
-    with pytest.raises(dc.DivclustError, match="one root"):
-        dc.Dendrogram(
-            3,
-            (
-                dc.DendrogramNode(0, (0, 1), 1.0, (1, 2)),
-                leaf(1, 0),
-                leaf(2, 1),
-                leaf(3, 2),
-                leaf(4, 2),
-            ),
-        )
+        dc.Dendrogram(2, (ROOT, leaf(2, 1), leaf(1, 0)))
+    for n, nodes, message in BAD_TREES:
+        with pytest.raises(dc.DivclustError, match=message):
+            dc.Dendrogram(n, nodes)
+
+
+def test_json_loader_rejects_bad_trees_with_the_record_messages():
+    # the loader sorts records by id, so only the storage-order case is missing
+    for n, nodes, message in BAD_TREES:
+        records = [
+            {"id": node.id, "members": list(node.members), "level": node.level}
+            | ({} if node.is_leaf else {"children": list(node.children)})
+            for node in nodes
+        ]
+        with pytest.raises(dc.DivclustError, match=message):
+            dc.tree_from_json(json.dumps({"n": n, "nodes": records}))
 
 
 def test_structural_check_of_built_trees_rejects_bad_arrays():
