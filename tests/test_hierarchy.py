@@ -677,8 +677,8 @@ def test_validation_walk_rejects_disordered_repeated_and_cyclic_nodes():
         leaf(3, 0),
         leaf(4, 0),
     )
-    # beside an empty sibling a node partitions itself; only the non-empty
-    # check keeps the walk from revisiting it forever
+    # beside an empty sibling a node partitions itself; the non-empty check
+    # rejects it before the structural walk, which would find the cycle
     cyclic = (dc.DendrogramNode(0, (0, 1), 1.0, (0, 1)), dc.DendrogramNode(1, (), 0.0), leaf(2, 1))
     with within_seconds(2.0):
         with pytest.raises(dc.DivclustError, match="partition"):
