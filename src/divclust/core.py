@@ -197,13 +197,9 @@ def euclidean_from_data(data: np.ndarray | Sequence[Sequence[float]]) -> Dissimi
 _WINDOW = (2.0**-160, 2.0**160)
 
 
-def _into_window(table: np.ndarray, top: float | None = None) -> tuple[np.ndarray, int]:
-    """``table`` times 2^-shift, with its max in ``_WINDOW`` unless zero, and shift.
-
-    ``top`` is the table's max, when the caller has already taken it.
-    """
-    if top is None:
-        top = float(table.max())
+def _into_window(table: np.ndarray) -> tuple[np.ndarray, int]:
+    """``table`` times 2^-shift, with its max in ``_WINDOW`` unless zero, and shift."""
+    top = float(table.max())
     if top == 0.0 or _WINDOW[0] <= top <= _WINDOW[1]:
         return table, 0
     shift = int(np.frexp(top)[1])

@@ -75,11 +75,10 @@ _SCALE_FREE = frozenset({Criterion.DUNN, Criterion.DUNN_VARIANT, Criterion.SILHO
 class CandidateScreen:
     """Scores of candidate splits of one cluster: batched with error bands, or exact.
 
-    ``table`` is the cluster's k-by-k dissimilarity table and ``pairs`` the
-    row and column indices of its upper triangle; the dissimilarities must lie
-    in the magnitude window (at most 2^160, as ``split_mask`` ensures), and
-    ``ward1`` squares them here. For a C-by-k boolean array of left-side
-    masks, :meth:`score` returns screened scores and bands such that
+    ``table`` is the cluster's k-by-k dissimilarity table; the dissimilarities
+    must lie in the magnitude window (at most 2^160, as ``split_mask``
+    ensures), and ``ward1`` squares them here. For a C-by-k boolean array of
+    left-side masks, :meth:`score` returns screened scores and bands such that
     :meth:`exact` on candidate c yields a value within ``bands[c]`` of
     ``scores[c]``; a zero band means the two are bitwise equal.
 
@@ -103,9 +102,7 @@ class CandidateScreen:
     since its sums have only zero terms or its score is a table entry.
     """
 
-    def __init__(
-        self, criterion: Criterion, table: np.ndarray, pairs: tuple[np.ndarray, np.ndarray]
-    ):
+    def __init__(self, criterion: Criterion, table: np.ndarray):
         if criterion is Criterion.WARD_ORIGINAL:
             table = table**2
         k = len(table)
@@ -117,7 +114,7 @@ class CandidateScreen:
         self.band = _relative_band(k)
         self.chunk = max(1, _CHUNK_PRODUCT // (k * k))
         if criterion in _PAIR_SCREENS:
-            first, second = pairs
+            first, second = _upper_pairs(k)
             values = table[first, second]
             order = np.argsort(values)
             if criterion is not Criterion.SINGLE_LINK:
@@ -290,7 +287,7 @@ def score_bipartition(criterion: Criterion, m: DissimilarityMatrix, b: Bipartiti
     the ratios and ``silhouette``, and the score times 2^e otherwise.
     """
     table, shift, mask = _union_table(m, b)
-    screen = CandidateScreen(criterion, table, _upper_pairs(len(table)))
+    screen = CandidateScreen(criterion, table)
     power = 2 if criterion is Criterion.WARD_ORIGINAL else 0 if criterion in _SCALE_FREE else 1
     with np.errstate(over="ignore"):  # scaled back past the float range: infinite
         return float(np.ldexp(screen.exact(mask), power * shift))

@@ -19,26 +19,13 @@ import numpy as np
 
 from .core import DissimilarityMatrix, _into_window, condensed_size
 from .errors import DivclustError, NoPositiveEigenvalueError
-from .splitters import (
-    MACNAUGHTON_SMITH,
-    Splitter,
-    _Carried,
-    _macnaughton_smith_mask,
-    parse_splitter,
-    split_mask,
-)
+from .splitters import Splitter, _Carried, parse_splitter, split_mask
 
 AVERAGE_AGGLOMERATIVE = "average-agglomerative"
 # Splits the clusters that leave the principal-axis splitter no positive eigenvalue.
 _PDDP_FALLBACK = parse_splitter("two-seeds:average")
 # The one bipartition of a 2-member cluster, as every splitter returns it.
 _PAIR_MASK = np.array([True, False])
-# A child of fewer members gathers its table rather than peel from carried
-# row totals. On a 2-vCPU VM (numpy 2.4) a peel's start from a gathered
-# table took 20-27 us against 28-35 us from carried totals at 8-64 members
-# of 40- and 150-object tables, and 50-1274 us against 34-40 us at 64-512
-# members of an 1100-object table.
-_CARRY_FLOOR = 64
 
 
 @dataclass(frozen=True)
@@ -67,10 +54,10 @@ class Dendrogram:
     before its second's.
 
     ``Dendrogram(n, nodes)`` takes the tree as ``DendrogramNode`` records and
-    checks their members, then gives them the structural check every tree
-    gets. The builders hand over children, levels and leaf objects and get
-    only that check: members read from the leaf order partition their parent
-    by construction.
+    checks their members, then lays them out with the walk that checks every
+    tree's structure. The builders hand over children, levels and leaf
+    objects and get only that walk: members read from the leaf order
+    partition their parent by construction.
     ``nodes`` derives every node's members, ascending, when first read. A
     Dendrogram in hand is always well-formed and never changes.
     """
@@ -80,25 +67,58 @@ class Dendrogram:
         members = [list(node.members) for node in nodes]
         kids = [node.children for node in nodes]
         levels = [node.level for node in nodes]
-        preorder = _check_records(n, [node.id for node in nodes], members, levels, kids)
-        self._store(n, kids, levels, [ms[0] for ms in members], preorder)
+        _check_records(n, [node.id for node in nodes], members, kids)
+        self._lay_out(n, kids, levels, [ms[0] for ms in members])
 
     @classmethod
-    def _checked(cls, n: int, kids, levels, objects, preorder) -> Dendrogram:
-        """A tree whose check has passed: ``kids[i]`` is a child pair or None,
-        ``objects[i]`` the object of leaf ``i``, ``preorder`` the walk that check made."""
+    def _built(cls, n: int, kids, levels, objects) -> Dendrogram:
+        """The tree of child pairs ``kids[i]`` (None for a leaf), ``levels``
+        and leaf objects ``objects[i]``, checked as :meth:`_lay_out` lays it out."""
         tree = cls.__new__(cls)
-        tree._store(n, kids, levels, objects, preorder)
+        tree._lay_out(n, kids, levels, objects)
         return tree
 
-    def _store(self, n: int, kids, levels, objects, preorder) -> None:
+    def _lay_out(self, n: int, kids, levels, objects) -> None:
+        """Check a tree's shape, levels and leaves, and lay it out in the same walk.
+
+        One root, every node reached once from it, leaves holding the objects
+        0..n-1, and levels finite, nonnegative, zero at the leaves and never
+        above the parent's. The one walk that checks a tree, built or loaded:
+        records get it after ``_check_records`` has checked their members.
+        It records each node's start in the leaf order as it reaches it.
+        """
+        claimed = [c for pair in kids if pair is not None for c in pair]
+        if not all(0 <= c < len(kids) for c in claimed):
+            raise DivclustError("bad child ids")
+        stack = list(set(range(len(kids))).difference(claimed))  # the unclaimed nodes
+        whole = len(kids) == 2 * n - 1 and len(stack) == 1
+        seen = bytearray(len(kids))
+        preorder: list[int] = []
         start = [0] * len(kids)
-        sizes = [1] * len(kids)
         order = []
-        for nid in preorder:
+        while whole and stack:
+            nid = stack.pop()
+            whole = not seen[nid]
+            seen[nid] = 1
+            preorder.append(nid)
             start[nid] = len(order)
+            level = levels[nid]
+            if not math.isfinite(level) or level < 0.0:
+                raise DivclustError("node level must be finite and nonnegative")
             if kids[nid] is None:
+                if level != 0.0:
+                    raise DivclustError("leaf level must be zero")
                 order.append(objects[nid])
+                continue
+            first, second = kids[nid]
+            if levels[first] > level or levels[second] > level:
+                raise DivclustError("child level exceeds parent level")
+            stack.extend((second, first))
+        if not whole or len(preorder) != len(kids):
+            raise DivclustError("dendrogram must have one root covering all objects")
+        if sorted(order) != list(range(n)):
+            raise DivclustError("leaves must hold the objects 0..n-1")
+        sizes = [1] * len(kids)
         for nid in reversed(preorder):
             if kids[nid] is not None:
                 first, second = kids[nid]
@@ -164,8 +184,8 @@ class Dendrogram:
         return tuple(DendrogramNode(nid, (obj,), level) for nid, obj, level in records)
 
 
-def _check_records(n: int, ids, members, levels, kids) -> list[int]:
-    """Check a tree's member lists without a walk, then its structure; return its preorder."""
+def _check_records(n: int, ids, members, kids) -> None:
+    """Check a tree's member lists without a walk; ``Dendrogram._lay_out`` checks the rest."""
     if n < 2:
         raise DivclustError("a dendrogram needs at least 2 objects")
     if len(ids) != 2 * n - 1:
@@ -191,47 +211,6 @@ def _check_records(n: int, ids, members, levels, kids) -> list[int]:
     for ms, pair in zip(members, kids):
         if pair is not None and sorted(members[pair[0]] + members[pair[1]]) != ms:
             raise DivclustError("children must partition their parent")
-    return _check_structure(n, kids, levels, [ms[0] for ms in members])
-
-
-def _check_structure(n: int, kids, levels, objects) -> list[int]:
-    """Check a tree's shape, levels and leaves; return its preorder.
-
-    One root, every node reached once from it, leaves holding the objects
-    0..n-1, and levels finite, nonnegative, zero at the leaves and never
-    above the parent's. The one walk that checks a tree: records get it
-    after ``_check_records`` has checked their members.
-    """
-    claimed = [c for pair in kids if pair is not None for c in pair]
-    if not all(0 <= c < len(kids) for c in claimed):
-        raise DivclustError("bad child ids")
-    stack = list(set(range(len(kids))).difference(claimed))  # the unclaimed nodes
-    whole = len(kids) == 2 * n - 1 and len(stack) == 1
-    seen = bytearray(len(kids))
-    preorder: list[int] = []
-    leaves = []
-    while whole and stack:
-        nid = stack.pop()
-        whole = not seen[nid]
-        seen[nid] = 1
-        preorder.append(nid)
-        level = levels[nid]
-        if not math.isfinite(level) or level < 0.0:
-            raise DivclustError("node level must be finite and nonnegative")
-        if kids[nid] is None:
-            if level != 0.0:
-                raise DivclustError("leaf level must be zero")
-            leaves.append(objects[nid])
-            continue
-        first, second = kids[nid]
-        if levels[first] > level or levels[second] > level:
-            raise DivclustError("child level exceeds parent level")
-        stack.extend((second, first))
-    if not whole or len(preorder) != len(kids):
-        raise DivclustError("dendrogram must have one root covering all objects")
-    if sorted(leaves) != list(range(n)):
-        raise DivclustError("leaves must hold the objects 0..n-1")
-    return preorder
 
 
 def divisive_hierarchy(m: DissimilarityMatrix, splitter: Splitter) -> Dendrogram:
@@ -239,16 +218,11 @@ def divisive_hierarchy(m: DissimilarityMatrix, splitter: Splitter) -> Dendrogram
 
     Node ids follow creation order with the root at 0; each split appends
     the canonical-left child first. A 2-member cluster has one bipartition
-    and splits without a table. The two-seeds and principal-axis splitters
-    split each larger cluster's table, gathered from ``m.square()`` by
-    position. The MacNaughton-Smith peel reads the square's rows at the
-    cluster's positions, one row per move, and hands each child its objects'
-    running sums to that child as its row totals, with their error bounds
-    (``splitters._macnaughton_smith_mask``), so a cluster's k-by-k table is
-    gathered only where those bounds cannot decide, or where the child has
-    fewer than ``_CARRY_FLOOR`` members and a gather costs less. If a degenerate cluster
-    leaves the principal-axis splitter without a positive eigenvalue, that
-    cluster falls back to the two-seeds average split.
+    and splits without a table. Every larger cluster is split by
+    ``splitters.split_mask`` at its positions in ``m.square()``, with the
+    row totals its parent's split carried to it, if any. If a degenerate
+    cluster leaves the principal-axis splitter without a positive
+    eigenvalue, that cluster falls back to the two-seeds average split.
 
     Levels are set bottom-up after the splits: a node's level is the larger
     of its children's levels and the max of the block between them, gathered
@@ -258,36 +232,25 @@ def divisive_hierarchy(m: DissimilarityMatrix, splitter: Splitter) -> Dendrogram
     max over a table with a zero diagonal does.
     """
     square = m.square()
-    peel = splitter.kind == MACNAUGHTON_SMITH
     members_of = [np.arange(m.n)]
     children: list[tuple[int, int] | None] = [None] * (2 * m.n - 1)
-    # each queued cluster with the row totals the peel carries to it, if any
+    # each queued cluster with the row totals its parent's split carries to it, if any
     queue: deque[tuple[int, _Carried | None]] = deque([(0, None)])
     while queue:
         nid, carried = queue.popleft()
         idx = members_of[nid]
-        carry = None
         if idx.size == 2:
-            mask = _PAIR_MASK
-        elif peel:
-            mask, carry = _macnaughton_smith_mask(square, idx if nid else None, carried)
-            if not mask[0]:
-                mask = ~mask
+            mask, carry = _PAIR_MASK, None
         else:
-            sub = square.take(idx, 0).take(idx, 1) if nid else square
             try:
-                mask = split_mask(sub, splitter)
+                mask, carry = split_mask(square, idx, splitter, carried)
             except NoPositiveEigenvalueError:
-                mask = split_mask(sub, _PDDP_FALLBACK)
+                mask, carry = split_mask(square, idx, _PDDP_FALLBACK)
         for side in (mask, ~mask):
             pos = np.flatnonzero(side)
             members_of.append(idx[pos])
-            if pos.size == 2:
-                queue.append((len(members_of) - 1, None))
-            elif pos.size > 2:
-                handed = None
-                if carry is not None and pos.size >= _CARRY_FLOOR:
-                    handed = (carry[0][pos], carry[1][pos])
+            if pos.size > 1:
+                handed = None if carry is None else (carry[0][pos], carry[1][pos])
                 queue.append((len(members_of) - 1, handed))
         children[nid] = (len(members_of) - 2, len(members_of) - 1)
     levels = [0.0] * len(members_of)
@@ -303,9 +266,7 @@ def divisive_hierarchy(m: DissimilarityMatrix, splitter: Splitter) -> Dendrogram
         else:
             cross = square.take(small, 0).take(large, 1).max()
         levels[nid] = max(levels[first], levels[second], float(cross))
-    objects = [int(idx[0]) for idx in members_of]
-    return Dendrogram._checked(m.n, children, levels, objects,
-                               _check_structure(m.n, children, levels, objects))
+    return Dendrogram._built(m.n, children, levels, [int(idx[0]) for idx in members_of])
 
 
 def agglomerative_average_link(m: DissimilarityMatrix) -> Dendrogram:
@@ -372,8 +333,7 @@ def agglomerative_average_link(m: DissimilarityMatrix) -> Dendrogram:
         between = p + 1 + np.flatnonzero(nn[p + 1:q] == q)
         for i in (*stale.tolist(), p, *between.tolist()):
             rescan(i)
-    objects = range(2 * n - 1)  # leaf i holds object i
-    return Dendrogram._checked(n, kids, levels, objects, _check_structure(n, kids, levels, objects))
+    return Dendrogram._built(n, kids, levels, range(2 * n - 1))  # leaf i holds object i
 
 
 def _parse_algorithm(token: str) -> Splitter | None:
@@ -501,8 +461,8 @@ def tree_from_json(text: str) -> Dendrogram:
         records.append((nid, members, level, children))
     records.sort(key=itemgetter(0))
     ids, members, levels, kids = list(zip(*records)) or [()] * 4
-    preorder = _check_records(n, ids, members, levels, kids)
-    return Dendrogram._checked(n, kids, levels, [ms[0] for ms in members], preorder)
+    _check_records(n, ids, members, kids)
+    return Dendrogram._built(n, kids, levels, [ms[0] for ms in members])
 
 
 def to_newick(tree: Dendrogram) -> str:

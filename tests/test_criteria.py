@@ -144,7 +144,7 @@ def seed_pair_masks(sub):
 def assert_screen_within_bands(sub):
     # the contract holds for any batch of candidates: all at once, and alone
     for crit in dc.Criterion:
-        screen = CandidateScreen(crit, sub, np.triu_indices(len(sub), 1))
+        screen = CandidateScreen(crit, sub)
         masks = seed_pair_masks(sub)
         scores, bands = screen.score(masks)
         for c, mask in enumerate(masks):
@@ -212,7 +212,7 @@ def test_pair_screens_match_the_oracle_across_scan_blocks(case):
     sub = np.asarray(s)
     masks = np.unique(seed_pair_masks(sub), axis=0)
     for token in ("single", "complete", "dunn"):
-        screen = CandidateScreen(dc.Criterion(token), sub, np.triu_indices(k, 1))
+        screen = CandidateScreen(dc.Criterion(token), sub)
         scores, _ = screen.score(masks)
         for mask, got in zip(masks, scores):
             want = score(token, s, np.flatnonzero(mask).tolist(), np.flatnonzero(~mask).tolist())

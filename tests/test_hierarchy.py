@@ -3,7 +3,8 @@ import math
 import random
 import signal
 import tracemalloc
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
+from itertools import product
 from unittest import mock
 
 import numpy as np
@@ -19,7 +20,7 @@ from conftest import (
     random_matrix,
     tie_heavy_matrices,
 )
-from divclust import hierarchy
+from divclust import hierarchy, splitters
 from divclust.benchmark import generate_dataset
 from helpers import (
     average_link,
@@ -110,8 +111,10 @@ def zero_block_matrix() -> dc.DissimilarityMatrix:
 def test_divisive_levels_are_diameters(token):
     splitter = dc.parse_splitter(token)
     fallback = dc.parse_splitter("two-seeds:average")
-    for m in (random_matrix(77, 9)[0], zero_block_matrix()):
-        tree = dc.build_hierarchy(m, token)
+    for m, carrying in product((random_matrix(77, 9)[0], zero_block_matrix()), (False, True)):
+        # carrying every child, the peel's nodes split from carried row totals
+        with carrying_every_child() if carrying else nullcontext():
+            tree = dc.build_hierarchy(m, token)
         sq = m.square()
         for node in tree.nodes:
             ms = list(node.members)
@@ -182,7 +185,7 @@ def mixed_magnitude_matrix(seed: int, k: int = 16, block: int = 6) -> dc.Dissimi
 
 def carrying_every_child():
     """Children of every size peel from carried row totals, not only large ones."""
-    return mock.patch.object(hierarchy, "_CARRY_FLOOR", 3)
+    return mock.patch.object(splitters, "_CARRY_FLOOR", 3)
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -620,7 +623,8 @@ def test_structural_check_of_built_trees_rejects_bad_arrays():
     # a builder hands over child pairs (None for a leaf), levels and each
     # leaf's object; over three objects, node 4 joins node 3 = {0, 1} and 2
     kids = [None, None, None, (0, 1), (3, 2)]
-    assert hierarchy._check_structure(3, kids, [0, 0, 0, 1, 2], range(5)) == [4, 3, 0, 1, 2]
+    tree = hierarchy.Dendrogram._built(3, kids, [0, 0, 0, 1, 2], range(5))
+    assert tree.preorder == (4, 3, 0, 1, 2)
     for bad, levels, objects, message in [
         ([None, None, None, (0, 1), (3, 5)], [0, 0, 0, 1, 2], range(5), "bad child ids"),
         ([None, None, None, (0, 1), (3, 3)], [0, 0, 0, 1, 2], range(5), "one root"),
@@ -632,7 +636,7 @@ def test_structural_check_of_built_trees_rejects_bad_arrays():
         (kids, [0, 0, 0, 3, 2], range(5), "exceeds parent"),
     ]:
         with pytest.raises(dc.DivclustError, match=message):
-            hierarchy._check_structure(3, bad, levels, objects)
+            hierarchy.Dendrogram._built(3, bad, levels, objects)
 
 
 def test_trees_never_change():

@@ -84,7 +84,7 @@ def exact_loop_split(m, members, criterion):
     """Reference search: the exact score of every seed pair in order, first strict max."""
     ms = sorted(members)
     sub = m.square()[np.ix_(ms, ms)]
-    screen = CandidateScreen(criterion, sub, np.triu_indices(len(ms), 1))
+    screen = CandidateScreen(criterion, sub)
     best, best_mask = -np.inf, None
     for a in range(len(ms)):
         for b in range(a + 1, len(ms)):
@@ -216,12 +216,12 @@ def test_two_seeds_rescores_each_distinct_mask_once(monkeypatch):
 
 
 def test_two_seeds_returns_a_lone_contending_bipartition_unscored(monkeypatch):
-    # separated groups make many seed pairs produce the same near-best split,
-    # in both orientations: one bipartition contends, so nothing is rescored
+    # separated groups make many seed pairs produce the same near-best split;
+    # with the groups' rows shuffled, it comes in both orientations: one
+    # bipartition contends, so nothing is rescored
     rng = np.random.default_rng(0)
-    m = dc.euclidean_from_data(
-        np.concatenate([rng.normal(centre, 0.3, (20, 3)) for centre in (0.0, 8.0, 16.0)])
-    )
+    points = np.concatenate([rng.normal(centre, 0.3, (20, 3)) for centre in (0.0, 8.0, 16.0)])
+    m = dc.euclidean_from_data(points[np.random.default_rng(1).permutation(60)])
     for criterion in (dc.Criterion.AVERAGE_LINK, dc.Criterion.WARD_SZEKELY_RIZZO):
         calls = record_exact_calls(monkeypatch)
         got = dc.two_seeds_split(m, range(60), criterion)
@@ -279,7 +279,8 @@ def test_macnaughton_smith_matches_the_float_reference_when_ties_round_apart(cas
     # fresh ones wherever the choice is that close
     k, values = case
     sub = dc.DissimilarityMatrix(k, [0.1 * v for v in values]).square()
-    assert np.array_equal(_macnaughton_smith_mask(sub)[0], macnaughton_smith_float(sub))
+    mask = _macnaughton_smith_mask(sub, np.arange(k))[0]
+    assert np.array_equal(mask, macnaughton_smith_float(sub))
 
 
 @st.composite
@@ -337,15 +338,14 @@ def test_carried_totals_lie_within_their_error_bounds(case, scale):
     # chain of peels that each keep the larger side
     k, values = case
     square = dc.DissimilarityMatrix(k, [scale * v for v in values]).square()
-    idx, carried = None, None
+    idx, carried = np.arange(k), None
     while True:
         mask, carried_all = _macnaughton_smith_mask(square, idx, carried)
-        members = np.arange(k) if idx is None else idx
         keep = mask if mask.sum() > (~mask).sum() else ~mask
         if keep.sum() < 3:
             return
         own, err = carried_all
-        idx = members[keep]
+        idx = idx[keep]
         for x, total, bound in zip(idx, own[keep], err[keep]):
             exact = sum(map(Fraction, square[x, idx].tolist()))
             assert abs(Fraction(float(total)) - exact) <= Fraction(float(bound))
@@ -537,9 +537,14 @@ def test_splitters_partition_exactly_the_cluster(token):
         b = dc.split_cluster(m, members, splitter)
         assert sorted(b.left + b.right) == members
         assert not set(b.left) & set(b.right)
-        mask = split_mask(m.square(), splitter)
+        mask = split_mask(m.square(), np.arange(m.n), splitter)[0]
         assert mask[0] and not mask.all()
         assert b == dc.Bipartition(np.flatnonzero(mask), np.flatnonzero(~mask))
+        # a sub-cluster: the positions of the larger side
+        idx = np.array(max(b.left, b.right, key=len))
+        mask = split_mask(m.square(), idx, splitter)[0]
+        assert mask[0] and not mask.all()
+        assert dc.split_cluster(m, idx, splitter) == dc.Bipartition(idx[mask], idx[~mask])
 
 
 @pytest.mark.parametrize("token", ["two-seeds:silhouette", "macnaughton-smith", "pddp"])

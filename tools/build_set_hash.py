@@ -31,6 +31,10 @@ seventh, ``cpcc``, takes each build's CPCC against its table as its float64
 bytes, or the error's class name where CPCC is undefined, so a rewrite of
 ``cpcc`` can prove the same.
 
+The run also counts the ``CandidateScreen.exact`` calls the builds make, the
+two-seeds rescores, per criterion: a change to which contenders are
+rescored shows there, as a changed tree shows in a digest.
+
 Run from the repository root:
 
     PYTHONPATH=src python tools/build_set_hash.py [--each]
@@ -42,6 +46,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+from collections import Counter
 
 import numpy as np
 
@@ -61,6 +66,7 @@ from divclust import (
     tree_to_json,
     validate_matrix,
 )
+from divclust.criteria import CandidateScreen
 
 
 def grid_tables():
@@ -138,6 +144,19 @@ def build_record(m: DissimilarityMatrix, token: str) -> tuple[bytes, bytes, byte
     return "\0".join(parts).encode(), values.condensed.astype("<f8").tobytes(), score
 
 
+def count_exact_calls() -> Counter:
+    """Count every ``CandidateScreen.exact`` call from now on, by criterion."""
+    calls = Counter()
+    exact = CandidateScreen.exact
+
+    def counted(screen, mask):
+        calls[screen.criterion.value] += 1
+        return exact(screen, mask)
+
+    CandidateScreen.exact = counted
+    return calls
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--each", action="store_true", help="also print one digest per build")
@@ -145,6 +164,7 @@ def main() -> None:
     values_digest = hashlib.sha256()
     cpcc_digest = hashlib.sha256()
     total = 0
+    calls = count_exact_calls()
     for family, tables in families().items():
         digest = hashlib.sha256()
         for index, (m, tokens) in enumerate(tables):
@@ -161,6 +181,8 @@ def main() -> None:
         print(f"{family}: {builds} builds {digest.hexdigest()}")
     print(f"cophenetic: {total} builds {values_digest.hexdigest()}")
     print(f"cpcc: {total} builds {cpcc_digest.hexdigest()}")
+    per_criterion = ", ".join(f"{name} {count}" for name, count in sorted(calls.items()))
+    print(f"exact calls: {calls.total()} ({per_criterion})")
 
 
 if __name__ == "__main__":
