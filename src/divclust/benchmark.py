@@ -66,6 +66,10 @@ class ExperimentConfig:
     thread_count: int | str = "auto"
 
     def validate(self) -> None:
+        for name in ("dataset_count", "objects", "variables", "master_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise InvalidConfigError(f"{name} must be an integer")
         if self.dataset_count < 1:
             raise InvalidConfigError("dataset_count must be at least 1")
         if self.objects < 3:
@@ -74,6 +78,8 @@ class ExperimentConfig:
             raise InvalidConfigError("variables must be at least 1")
         if not self.algorithms:
             raise InvalidConfigError("algorithm roster is empty")
+        if not all(isinstance(token, str) for token in self.algorithms):
+            raise InvalidConfigError("algorithm tokens must be strings")
         if len(set(self.algorithms)) != len(self.algorithms):
             raise InvalidConfigError("algorithm roster has duplicates")
         for token in self.algorithms:

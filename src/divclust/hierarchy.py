@@ -200,7 +200,9 @@ def _check_records(n: int, ids, members, kids) -> None:
         if pair is None:
             if len(ms) != 1:
                 raise DivclustError("leaf node must be a singleton")
-        elif min(pair) < 0 or max(pair) >= len(ids) or pair[0] == pair[1]:
+        elif not (isinstance(pair, (tuple, list)) and len(pair) == 2
+                  and all(isinstance(c, (int, np.integer)) and not isinstance(c, bool) for c in pair)
+                  and 0 <= min(pair) and max(pair) < len(ids) and pair[0] != pair[1]):
             raise DivclustError("bad child ids")
     root = next((ms for ms in members if len(ms) == n), None)
     if root is not None and root != list(range(n)):
@@ -261,10 +263,7 @@ def divisive_hierarchy(m: DissimilarityMatrix, splitter: Splitter) -> Dendrogram
         small, large = members_of[first], members_of[second]
         if small.size > large.size:
             small, large = large, small
-        if large.size == 1:  # a pair's block is its one entry
-            cross = square[small[0], large[0]]
-        else:
-            cross = square.take(small, 0).take(large, 1).max()
+        cross = square.take(small, 0).take(large, 1).max()
         levels[nid] = max(levels[first], levels[second], float(cross))
     return Dendrogram._built(m.n, children, levels, [int(idx[0]) for idx in members_of])
 

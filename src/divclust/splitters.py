@@ -14,6 +14,7 @@ first-appearance / smallest-index rules, never by randomness.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -239,9 +240,9 @@ class _SideSums:
         if err is not None:
             self.band += err
         np.add(self.band, _SUBNORMAL_SLACK, out=self.band, where=self.upper > 0.0)
-        # the sums lie within _start + moves * eps * T of the exact ones; None:
-        # the k-term plain sums' k * eps * T
-        self._start = err
+        # the sums lie within _start + moves * eps * T of the exact ones; the
+        # k-term plain sums start within k * eps * T
+        self._start = k * _EPS * self.upper if err is None else err
         self._moves = 0
 
     def row(self, x: int) -> np.ndarray:
@@ -258,7 +259,7 @@ class _SideSums:
         self.to_left = _plain_sums(self.table, masks)[0]
         self.to_right = _plain_sums(self.table, ~masks)[0]
         self.exact = True
-        self._start = None
+        self._start = len(mask) * _EPS * self.upper
         self._moves = 0
 
     def move(self, x: int, mask: np.ndarray) -> None:
@@ -282,10 +283,7 @@ class _SideSums:
     def own_totals(self, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Every object's sum to its own side of ``mask``, and a bound on its error."""
         # each move's rounding is at most eps/2 * (T + the error so far) <= eps * T
-        if self._start is None:
-            err = (len(mask) + self._moves) * _EPS * self.upper
-        else:
-            err = self._start + self._moves * _EPS * self.upper
+        err = self._start + self._moves * _EPS * self.upper
         return np.where(mask, self.to_left, self.to_right), err
 
 
@@ -409,10 +407,10 @@ def _pcoa_axis(sub: np.ndarray) -> PcoaAxis:
 
     v = np.where(np.arange(k) % 2 == 0, 1.0, -1.0)
     v -= v.mean()
-    v /= np.linalg.norm(v)
+    v /= math.sqrt(v.dot(v))
     for _ in range(POWER_ITERATION_CAP):
         w = gram @ v
-        norm = float(np.linalg.norm(w))
+        norm = math.sqrt(w.dot(w))
         if norm == 0.0:
             raise NoPositiveEigenvalueError("cluster has no positive spread")
         w /= norm
@@ -489,14 +487,6 @@ def _pddp_mask(sub: np.ndarray) -> np.ndarray:
     return mask
 
 
-# A cluster of fewer members gathers its table rather than peel from carried
-# row totals. On a 2-vCPU VM (numpy 2.4) a peel's start from a gathered
-# table took 20-27 us against 28-35 us from carried totals at 8-64 members
-# of 40- and 150-object tables, and 50-1274 us against 34-40 us at 64-512
-# members of an 1100-object table.
-_CARRY_FLOOR = 64
-
-
 def split_mask(
     square: np.ndarray, idx: np.ndarray, splitter: Splitter, carried: _Carried | None = None
 ) -> tuple[np.ndarray, _Carried | None]:
@@ -508,16 +498,13 @@ def split_mask(
     member's running sum to its own side, with its error bound. A child
     splits from its slice of them as ``carried``. So the peel, which reads
     the square's rows at ``idx``, one row per move, gathers a cluster's
-    k-by-k table only where those bounds cannot decide (``_carried_seed``),
-    or where the cluster has fewer than ``_CARRY_FLOOR`` members and a
-    gather costs less. The other splitters split the gathered table. Each
-    decides on the table brought into the magnitude window, which is exact,
-    so it decides alike at every scale.
+    k-by-k table only where those bounds cannot decide (``_carried_seed``).
+    The other splitters split the gathered table. Each decides on the table
+    brought into the magnitude window, which is exact, so it decides alike
+    at every scale.
     """
     carry = None
     if splitter.kind == MACNAUGHTON_SMITH:
-        if idx.size < _CARRY_FLOOR:
-            carried = None
         mask, carry = _macnaughton_smith_mask(square, idx, carried)
     elif splitter.kind == TWO_SEEDS:
         mask = _two_seeds_mask(_into_window(_gather(square, idx))[0], splitter.criterion)

@@ -69,6 +69,12 @@ def test_config_defaults_match_the_reference_setup():
         dict(thread_count=-2),
         dict(thread_count="many"),
         dict(thread_count=True),
+        dict(dataset_count=1.5),
+        dict(dataset_count=True),
+        dict(objects=5.5),
+        dict(variables=2.0),
+        dict(master_seed=1.5),
+        dict(algorithms=("pddp", 5)),
     ],
 )
 def test_config_validation_rejects(kwargs):
