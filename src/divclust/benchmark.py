@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import euclidean_from_data
+from .core import _is_integer, euclidean_from_data
 from .errors import AllCellsMissingError, DivclustError, InvalidConfigError
 from .evaluation import concordance, goodman_kruskal
 from .hierarchy import AVERAGE_AGGLOMERATIVE, _parse_algorithm, build_hierarchy, cophenetic
@@ -48,6 +48,10 @@ def _mix64(a: int, b: int) -> int:
 
 def generate_dataset(master_seed: int, index: int, objects: int, variables: int) -> np.ndarray:
     """Deterministic uniform [0, 1) table for one dataset index."""
+    arguments = dict(master_seed=master_seed, index=index, objects=objects, variables=variables)
+    for name, value in arguments.items():
+        if not _is_integer(value):
+            raise InvalidConfigError(f"{name} must be an integer")
     if index < 0:
         raise InvalidConfigError("dataset index must be nonnegative")
     rng = np.random.Generator(np.random.PCG64(_mix64(int(master_seed), int(index))))
@@ -68,7 +72,7 @@ class ExperimentConfig:
     def validate(self) -> None:
         for name in ("dataset_count", "objects", "variables", "master_seed"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
+            if not _is_integer(value):
                 raise InvalidConfigError(f"{name} must be an integer")
         if self.dataset_count < 1:
             raise InvalidConfigError("dataset_count must be at least 1")
@@ -88,9 +92,7 @@ class ExperimentConfig:
             except DivclustError:
                 raise InvalidConfigError(f"unknown algorithm: {token!r}") from None
         if self.thread_count != "auto" and (
-            isinstance(self.thread_count, bool)
-            or not isinstance(self.thread_count, int)
-            or self.thread_count < 1
+            not _is_integer(self.thread_count) or self.thread_count < 1
         ):
             raise InvalidConfigError("thread_count must be a positive integer or 'auto'")
 

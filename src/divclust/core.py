@@ -55,9 +55,19 @@ def pair_index(n: int, i: int, j: int) -> int:
     return i * n - i * (i + 1) // 2 + (j - i - 1)
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer; ``bool`` is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def object_set(members: Iterable[int]) -> tuple[int, ...]:
     """Canonical object set: ascending, duplicate-free, non-empty int tuple."""
-    ms = tuple(sorted(int(m) for m in members))
+    members = list(members)
+    # one member of each type decides for every member of that type
+    for m in {type(m): m for m in members}.values():
+        if not _is_integer(m):
+            raise DivclustError(f"object index must be an integer, got {m!r}")
+    ms = tuple(sorted(map(int, members)))
     if not ms:
         raise DivclustError("object set is empty")
     for a, b in zip(ms, ms[1:]):
@@ -78,6 +88,8 @@ class DissimilarityMatrix:
     __slots__ = ("n", "_values", "_square")
 
     def __init__(self, n: int, condensed: np.ndarray | Sequence[float]):
+        if not _is_integer(n):
+            raise DivclustError(f"object count must be an integer, got {n!r}")
         n = int(n)
         if n < 2:
             raise MatrixTooSmallError("a dissimilarity matrix needs at least 2 objects")
@@ -192,8 +204,12 @@ def euclidean_from_data(data: np.ndarray | Sequence[Sequence[float]]) -> Dissimi
 
 # A table whose max M lies outside this window is scaled by 2^-frexp(M), exact
 # while entries stay normal. M <= 2^160 keeps ward1's squared table below 2^320
-# (about 2e96); the power iteration's squared norm, whose terms are fourth
-# powers, lies in [M^4/k^4, k^2 M^4], so it stays normal for any k below 2^95.
+# (about 2e96). PCoA's Gram entries lie within M^2 of zero, so its Lanczos
+# products of unit vectors, their tridiagonal entries and the Rayleigh quotient
+# are at most k M^2, and the products' squared norms at most k^2 M^4 <= k^2 2^640.
+# The dominant eigenvalue is at least M^2/k^2 (the trace, at least M^2/k, over
+# fewer than k eigenvalues), so the residual test's bound, 1e-10 times it, is
+# at least 2^-354/k^2, and squared norms near it stay normal for k below 2^78.
 _WINDOW = (2.0**-160, 2.0**160)
 
 

@@ -17,7 +17,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .core import DissimilarityMatrix, _into_window, condensed_size
+from .core import DissimilarityMatrix, _into_window, _is_integer, condensed_size
 from .errors import DivclustError, NoPositiveEigenvalueError
 from .splitters import Splitter, _Carried, parse_splitter, split_mask
 
@@ -201,7 +201,7 @@ def _check_records(n: int, ids, members, kids) -> None:
             if len(ms) != 1:
                 raise DivclustError("leaf node must be a singleton")
         elif not (isinstance(pair, (tuple, list)) and len(pair) == 2
-                  and all(isinstance(c, (int, np.integer)) and not isinstance(c, bool) for c in pair)
+                  and all(_is_integer(c) for c in pair)
                   and 0 <= min(pair) and max(pair) < len(ids) and pair[0] != pair[1]):
             raise DivclustError("bad child ids")
     root = next((ms for ms in members if len(ms) == n), None)

@@ -38,8 +38,12 @@ from .criteria import (
 )
 from .errors import ClusterTooSmallError, DivclustError, NoPositiveEigenvalueError
 
-POWER_ITERATION_TOL = 1e-10
-POWER_ITERATION_CAP = 10_000
+LANCZOS_TOL = 1e-10
+# The Lanczos iteration tests the residual of its dominant Ritz pair every
+# few steps: an eigh of the small tridiagonal costs 13-24 us on a 2-vCPU VM,
+# against 12-13 us per step at k = 5 to 40 and 43 us at k = 400, and most
+# clusters end at breakdown, where a test is due anyway.
+_CHECK_EVERY = 3
 
 TWO_SEEDS = "two-seeds"
 MACNAUGHTON_SMITH = "macnaughton-smith"
@@ -376,13 +380,23 @@ class PcoaAxis:
 
 
 def pcoa_first_axis(m: DissimilarityMatrix, members) -> PcoaAxis:
-    """Dominant principal coordinate of the cluster, by power iteration.
+    """Dominant principal coordinate of the cluster, by a Lanczos iteration.
 
-    The squared dissimilarities are double-centered into a Gram table, the
-    dominant eigenpair is extracted with a fixed alternating-sign start
-    vector, and coordinates are the unit eigenvector scaled by the square
-    root of the eigenvalue. The sign is flipped so the smallest member's
-    coordinate is nonpositive.
+    The squared dissimilarities are double-centered into a Gram table G. From
+    a fixed alternating-sign start vector, a Lanczos iteration with full
+    reorthogonalization builds an orthonormal basis of the Krylov space and
+    the tridiagonal projection of G on it; the Ritz pair of largest
+    magnitude is taken once its residual is at most ``LANCZOS_TOL`` times
+    that magnitude, or when the Krylov space is exhausted, after at most k
+    steps. The eigenvalue is the Rayleigh quotient of the Ritz vector, and
+    the coordinates are the unit vector scaled by its square root. The sign
+    is flipped so the smallest member's coordinate is nonpositive.
+
+    Ties: a negative eigenvalue is dominant only where its magnitude exceeds
+    the largest positive one's by more than the relative ``LANCZOS_TOL``, so
+    where +lambda and -lambda share the dominant magnitude the axis is
+    +lambda's. The axis of a repeated dominant eigenvalue, like that of a
+    simple one, is the start vector's projection on its eigenspace.
 
     Raises NoPositiveEigenvalueError when the dominant eigenvalue does not
     exceed ``1e-12`` times the Gram trace, as happens for all-tied clusters.
@@ -400,24 +414,48 @@ def pcoa_first_axis(m: DissimilarityMatrix, members) -> PcoaAxis:
 
 def _pcoa_axis(sub: np.ndarray) -> PcoaAxis:
     k = len(sub)
-    d2 = sub**2
-    row_mean = d2.mean(axis=1)
-    gram = -0.5 * (d2 - row_mean[:, None] - row_mean[None, :] + d2.mean())
-    trace = float(np.trace(gram))
+    # double-centered in place, rounding as -0.5 * (d2 - r_i - r_j + mean(d2)) does
+    gram = sub * sub
+    row_mean = gram.sum(axis=1) / k
+    total = gram.sum() / (k * k)
+    gram -= row_mean[:, None]
+    gram -= row_mean[None, :]
+    gram += total
+    gram *= -0.5
+    trace = float(gram.trace())
 
-    v = np.where(np.arange(k) % 2 == 0, 1.0, -1.0)
-    v -= v.mean()
-    v /= math.sqrt(v.dot(v))
-    for _ in range(POWER_ITERATION_CAP):
-        w = gram @ v
-        norm = math.sqrt(w.dot(w))
-        if norm == 0.0:
+    v = np.ones(k)
+    v[1::2] = -1.0
+    v -= v.sum() / k
+    basis = np.empty((k, k))  # the orthonormal Lanczos vectors, one per row
+    basis[0] = v / math.sqrt(v.dot(v))
+    tri = np.zeros((k, k))  # the projection's lower triangle: alphas and betas
+    scale = 0.0  # the largest entry of the projection so far, at most its norm
+    for m in range(k):
+        w = gram @ basis[m]
+        if m == 0 and not w.any():
             raise NoPositiveEigenvalueError("cluster has no positive spread")
-        w /= norm
-        done = float(np.abs(w - v).max()) < POWER_ITERATION_TOL
-        v = w
-        if done:
-            break
+        q = basis[: m + 1]
+        coef = q @ w
+        w -= coef @ q
+        w -= (q @ w) @ q  # twice is enough to keep the basis orthonormal
+        alpha = float(coef[m])
+        tri[m, m] = alpha
+        beta = math.sqrt(w.dot(w))
+        scale = max(scale, abs(alpha))
+        # beta bounds every Ritz residual, and the largest Ritz magnitude is
+        # the projection's norm: at or below the tolerance every pair is done
+        done = m + 1 == k or beta <= LANCZOS_TOL * scale
+        if done or (m + 1) % _CHECK_EVERY == 0:
+            theta, s = np.linalg.eigh(tri[: m + 1, : m + 1])
+            j = 0 if -theta[0] > theta[-1] * (1.0 + LANCZOS_TOL) else m
+            if done or beta * abs(s[m, j]) <= LANCZOS_TOL * abs(theta[j]):
+                break
+        scale = max(scale, beta)
+        tri[m + 1, m] = beta
+        np.divide(w, beta, out=basis[m + 1])
+    v = s[:, j] @ q
+    v /= math.sqrt(v.dot(v))
     eigenvalue = float(v @ (gram @ v))
     if eigenvalue <= 1e-12 * trace:
         raise NoPositiveEigenvalueError("dominant eigenvalue is not positive")
@@ -517,4 +555,4 @@ def split_cluster(m: DissimilarityMatrix, members, splitter: Splitter) -> Bipart
     """Apply one splitter to one cluster."""
     idx = _cluster_positions(m, members)
     mask = split_mask(m.square(), idx, splitter)[0]
-    return Bipartition(tuple(idx[mask]), tuple(idx[~mask]))
+    return Bipartition(tuple(idx[mask].tolist()), tuple(idx[~mask].tolist()))

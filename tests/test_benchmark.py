@@ -41,6 +41,27 @@ def test_generate_dataset_rejects_negative_index():
         dc.generate_dataset(0, -1, 4, 2)
 
 
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        ((1, 1.5, 4, 2), "index"),
+        ((1.7, 1, 4, 2), "master_seed"),
+        ((1, 0, 4.0, 2), "objects"),
+        ((1, 0, 4, "2"), "variables"),
+        ((True, 0, 4, 2), "master_seed"),
+        ((1, False, 4, 2), "index"),
+    ],
+)
+def test_generate_dataset_rejects_arguments_that_are_not_integers(args, name):
+    with pytest.raises(dc.InvalidConfigError, match=f"^{name} must be an integer$"):
+        dc.generate_dataset(*args)
+
+
+def test_generate_dataset_takes_numpy_integers():
+    got = dc.generate_dataset(np.int64(3), np.int32(5), np.int64(9), np.uint8(4))
+    assert np.array_equal(got, dc.generate_dataset(3, 5, 9, 4))
+
+
 def test_stream_seeds_do_not_collide():
     seen = {_mix64(a, b) for a in range(40) for b in range(50)}
     assert len(seen) == 2000
@@ -84,6 +105,9 @@ def test_config_validation_rejects(kwargs):
 
 def test_thread_resolution():
     assert dc.ExperimentConfig(thread_count=3).resolved_threads() == 3
+    config = dc.ExperimentConfig(dataset_count=np.int64(2), thread_count=np.int64(3))
+    config.validate()
+    assert config.resolved_threads() == 3
     assert dc.ExperimentConfig(thread_count="auto").resolved_threads() >= 1
 
 

@@ -281,6 +281,35 @@ def test_object_set_normalizes_and_validates():
         dc.object_set([1, 1])
 
 
+def test_object_set_takes_python_and_numpy_integers_only():
+    got = dc.object_set([np.int64(3), 1, np.int32(2)])
+    assert got == (1, 2, 3) and all(type(m) is int for m in got)
+    assert dc.object_set(np.array([4, 0], dtype=np.uint16)) == (0, 4)
+    for members in ([0.7, 1.2, 2.9], [True, 2], [1, 2.0], ["1", 2], [np.float64(1.0)]):
+        with pytest.raises(dc.DivclustError, match="^object index must be an integer"):
+            dc.object_set(members)
+
+
+def test_object_indices_that_are_not_integers_reach_no_computation():
+    m, _ = random_matrix(5, 4)
+    for call in (
+        lambda: dc.split_cluster(m, [0.7, 1.2, 2.9], dc.parse_splitter("pddp")),
+        lambda: dc.pcoa_first_axis(m, [0.5, 1, 2]),
+        lambda: dc.cluster_stats(m, [True, 2]),
+        lambda: dc.cluster_stats(m, [0, 1], [2.0, 3]),
+        lambda: dc.Bipartition((0, 1.0), (2, 3)),
+    ):
+        with pytest.raises(dc.DivclustError, match="^object index must be an integer"):
+            call()
+
+
+def test_matrix_object_count_must_be_an_integer():
+    assert dc.DissimilarityMatrix(np.int64(2), [1.0]).n == 2
+    for n, values in ((2.5, [1.0]), ("3", [1, 2, 3]), (3.0, [1, 2, 3]), (True, [])):
+        with pytest.raises(dc.DivclustError, match="^object count must be an integer"):
+            dc.DissimilarityMatrix(n, values)
+
+
 def test_bipartition_canonical_orientation():
     b = dc.Bipartition((5, 4), (0, 2))
     assert b.left == (0, 2)

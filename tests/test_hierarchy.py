@@ -16,6 +16,7 @@ from conftest import (
     FOLDED_SUM_TABLE,
     MEAN_TIE_TABLE,
     random_matrix,
+    run_python,
     tie_heavy_matrices,
 )
 from divclust import hierarchy
@@ -73,6 +74,28 @@ def test_pddp_hierarchy_survives_an_all_tied_cluster():
     assert len(tree.nodes) == 5
     assert tree.root.members == (0, 1, 2)
     assert all(node.level == 0.0 for node in tree.nodes)
+
+
+# The pddp tree of the 150-point, 5-centre mixture, and the root's axis as
+# bytes; its clusters of 96 or more objects cross OpenBLAS's threading
+# threshold for a matrix-vector product
+PDDP_TREE_OF_THE_MIXTURE = """
+import hashlib
+import numpy as np
+import divclust as dc
+rng = np.random.default_rng(7)
+centres = rng.uniform(-6.0, 6.0, (5, 10))
+m = dc.euclidean_from_data(np.concatenate([c + rng.normal(size=(30, 10)) for c in centres]))
+print(hashlib.sha256(dc.pcoa_first_axis(m, range(150)).coords.tobytes()).hexdigest())
+print(dc.tree_to_json(dc.build_hierarchy(m, "pddp")))
+"""
+
+
+def test_pddp_trees_have_the_same_bits_at_any_blas_thread_count():
+    one = run_python(PDDP_TREE_OF_THE_MIXTURE, OPENBLAS_NUM_THREADS="1")
+    two = run_python(PDDP_TREE_OF_THE_MIXTURE, OPENBLAS_NUM_THREADS="2")
+    assert json.loads(one.split("\n", 1)[1])["n"] == 150
+    assert one == two
 
 
 @pytest.mark.parametrize("token", ALGORITHMS)

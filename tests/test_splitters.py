@@ -438,6 +438,55 @@ def test_pcoa_degenerate_cluster_raises():
         dc.pcoa_first_axis(ALL_ZERO_3, range(3))
 
 
+def start_vector_axis(m: dc.DissimilarityMatrix):
+    """The Gram table's eigenvalues, and the documented axis of its largest:
+    the alternating start vector's projection on that eigenspace, scaled to
+    the eigenvalue's root, with the smallest member's coordinate nonpositive."""
+    k = m.n
+    j = np.eye(k) - np.full((k, k), 1.0 / k)
+    eigenvalues, vectors = np.linalg.eigh(-0.5 * j @ m.square() ** 2 @ j)
+    space = vectors[:, np.isclose(eigenvalues, eigenvalues[-1], rtol=1e-9)]
+    start = np.where(np.arange(k) % 2 == 0, 1.0, -1.0)
+    axis = space @ (space.T @ start)
+    axis *= math.sqrt(eigenvalues[-1]) / np.linalg.norm(axis)
+    return eigenvalues, -axis if axis[0] > 0.0 else axis
+
+
+def test_pcoa_takes_the_positive_eigenvalue_where_plus_and_minus_lambda_tie():
+    # the Gram table's eigenvalues are -sqrt(4.2), 0, 2, 2 and sqrt(4.2), so
+    # the dominant magnitude is shared; the start vector has a component on
+    # both eigenvectors, and power iteration swung between them
+    m = dc.DissimilarityMatrix(5, [2.0, 0.0, 1.0, 1.0, 0.0, 1.0, 1.0, 2.0, 2.0, 2.0])
+    eigenvalues, want = start_vector_axis(m)
+    assert eigenvalues[0] == pytest.approx(-math.sqrt(4.2), rel=1e-12)
+    assert eigenvalues[-1] == pytest.approx(math.sqrt(4.2), rel=1e-12)
+    axis = dc.pcoa_first_axis(m, range(5))
+    assert axis.eigenvalue == pytest.approx(math.sqrt(4.2), rel=1e-10)
+    assert np.allclose(axis.coords, want, atol=1e-8)
+
+
+def test_pcoa_rejects_a_negative_eigenvalue_of_larger_magnitude():
+    # eigenvalues -7.59 and 5.36 at the ends: the dominant one is negative
+    m = dc.DissimilarityMatrix(6, [0, 3, 3, 1, 1, 0, 1, 3, 3, 3, 0, 1, 1, 2, 3])
+    eigenvalues, _ = start_vector_axis(m)
+    assert -eigenvalues[0] > 1.4 * eigenvalues[-1] > 0.0
+    with pytest.raises(dc.NoPositiveEigenvalueError, match="dominant eigenvalue is not positive"):
+        dc.pcoa_first_axis(m, range(6))
+
+
+def test_pcoa_of_a_repeated_dominant_eigenvalue_projects_the_start_vector():
+    # 13/2 is a double eigenvalue of the Gram table, and the start vector is
+    # not in its eigenspace
+    m = dc.DissimilarityMatrix(6, [3, 0, 0, 3, 2, 0, 3, 2, 0, 1, 0, 3, 0, 0, 3])
+    eigenvalues, want = start_vector_axis(m)
+    assert eigenvalues[-2] == pytest.approx(6.5, rel=1e-12)
+    assert eigenvalues[-1] == pytest.approx(6.5, rel=1e-12)
+    assert eigenvalues[-3] < 6.0
+    axis = dc.pcoa_first_axis(m, range(6))
+    assert axis.eigenvalue == pytest.approx(6.5, rel=1e-10)
+    assert np.allclose(axis.coords, want, atol=1e-8)
+
+
 def test_pddp_line4(line4):
     b = dc.pddp_split(line4, range(4))
     assert b == dc.Bipartition((0, 1), (2, 3))

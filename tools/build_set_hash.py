@@ -33,7 +33,10 @@ bytes, or the error's class name where CPCC is undefined, so a rewrite of
 
 The run also counts the ``CandidateScreen.exact`` calls the builds make, the
 two-seeds rescores, per criterion: a change to which contenders are
-rescored shows there, as a changed tree shows in a digest.
+rescored shows there, as a changed tree shows in a digest. Beside them it
+counts, per family, the clusters where a ``pddp`` build found no positive
+principal axis and fell back to the ``two-seeds:average`` split, whose
+rescores are among the ``average`` calls.
 
 Run from the repository root:
 
@@ -66,7 +69,9 @@ from divclust import (
     tree_to_json,
     validate_matrix,
 )
+from divclust import hierarchy
 from divclust.criteria import CandidateScreen
+from divclust.errors import NoPositiveEigenvalueError
 
 
 def grid_tables():
@@ -157,6 +162,22 @@ def count_exact_calls() -> Counter:
     return calls
 
 
+def count_pddp_fallbacks() -> Counter:
+    """Count every PDDP split that falls back to two-seeds from now on."""
+    calls = Counter()
+    split_mask = hierarchy.split_mask
+
+    def counted(square, idx, splitter, carried=None):
+        try:
+            return split_mask(square, idx, splitter, carried)
+        except NoPositiveEigenvalueError:
+            calls["pddp"] += 1
+            raise
+
+    hierarchy.split_mask = counted
+    return calls
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--each", action="store_true", help="also print one digest per build")
@@ -165,7 +186,10 @@ def main() -> None:
     cpcc_digest = hashlib.sha256()
     total = 0
     calls = count_exact_calls()
+    fallbacks = count_pddp_fallbacks()
+    per_family = {}
     for family, tables in families().items():
+        before = fallbacks.total()
         digest = hashlib.sha256()
         for index, (m, tokens) in enumerate(tables):
             for token in tokens:
@@ -176,6 +200,7 @@ def main() -> None:
                 cpcc_digest.update(build + score + b"\0")
                 if args.each:
                     print(family, index, token, hashlib.sha256(record).hexdigest()[:16])
+        per_family[family] = fallbacks.total() - before
         builds = sum(len(tokens) for _, tokens in tables)
         total += builds
         print(f"{family}: {builds} builds {digest.hexdigest()}")
@@ -183,6 +208,8 @@ def main() -> None:
     print(f"cpcc: {total} builds {cpcc_digest.hexdigest()}")
     per_criterion = ", ".join(f"{name} {count}" for name, count in sorted(calls.items()))
     print(f"exact calls: {calls.total()} ({per_criterion})")
+    per_family_text = ", ".join(f"{family} {count}" for family, count in per_family.items())
+    print(f"pddp fallbacks: {fallbacks.total()} ({per_family_text})")
 
 
 if __name__ == "__main__":
