@@ -474,16 +474,23 @@ def test_pcoa_rejects_a_negative_eigenvalue_of_larger_magnitude():
         dc.pcoa_first_axis(m, range(6))
 
 
-def test_pcoa_of_a_repeated_dominant_eigenvalue_projects_the_start_vector():
-    # 13/2 is a double eigenvalue of the Gram table, and the start vector is
-    # not in its eigenspace
-    m = dc.DissimilarityMatrix(6, [3, 0, 0, 3, 2, 0, 3, 2, 0, 1, 0, 3, 0, 0, 3])
+@pytest.mark.parametrize(
+    "k, values, top",
+    [
+        # the start vector is not in the double eigenvalue's eigenspace
+        (6, [3, 0, 0, 3, 2, 0, 3, 2, 0, 1, 0, 3, 0, 0, 3], 6.5),
+        # and here another start, such as (1, 1, -1, 1, 1), projects elsewhere
+        (5, [2, 2, 0, 0, 0, 0, 2, 2, 0, 2], 1.0 + math.sqrt(5.0)),
+    ],
+)
+def test_pcoa_of_a_repeated_dominant_eigenvalue_projects_the_start_vector(k, values, top):
+    m = dc.DissimilarityMatrix(k, values)
     eigenvalues, want = start_vector_axis(m)
-    assert eigenvalues[-2] == pytest.approx(6.5, rel=1e-12)
-    assert eigenvalues[-1] == pytest.approx(6.5, rel=1e-12)
-    assert eigenvalues[-3] < 6.0
-    axis = dc.pcoa_first_axis(m, range(6))
-    assert axis.eigenvalue == pytest.approx(6.5, rel=1e-10)
+    assert eigenvalues[-2] == pytest.approx(top, rel=1e-12)
+    assert eigenvalues[-1] == pytest.approx(top, rel=1e-12)
+    assert eigenvalues[-3] < 0.95 * top
+    axis = dc.pcoa_first_axis(m, range(m.n))
+    assert axis.eigenvalue == pytest.approx(top, rel=1e-10)
     assert np.allclose(axis.coords, want, atol=1e-8)
 
 
