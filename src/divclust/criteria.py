@@ -45,12 +45,20 @@ def parse_criterion(token: str) -> Criterion:
 
 _PAIR_SCREENS = frozenset({Criterion.SINGLE_LINK, Criterion.COMPLETE_LINK, Criterion.DUNN})
 
-# Candidates times k^2 in one chunk: the multiply-adds of its table product.
+# Candidates times k^2 in one chunk: the multiply-adds of one table product.
 # OpenBLAS computes products up to 2^18 on the calling thread and larger ones
 # on its thread pool, whose threads only contend for the cores when a process
 # pool already fills them: a 2-worker grid ran 35 % slower with 40-object
-# products in one piece.
+# products in one piece. So :meth:`CandidateScreen.score` forms a batch's
+# products one chunk of rows at a time, whatever the batch's length.
 _CHUNK_PRODUCT = 1 << 18
+
+# Candidates times k in one screened block: the entries of each C-by-k float
+# temporary a batch forms, 64 KB, so they stay in cache. A block is a whole
+# number of chunks, at least one; below k = 64 it is exactly one. Each batch
+# pays about 15 numpy calls whatever its length, so at k = 150, where a chunk
+# is 11 candidates, blocks of 4 chunks make a quarter of the batches.
+_BLOCK_ENTRIES = 1 << 13
 
 # Pairs a pair screen compares per step of its scan, so a step holds C-by-64
 # booleans for C candidates. Over the seed-pair candidates of uniform tables
@@ -113,6 +121,7 @@ class CandidateScreen:
         self.bounded = positive.size == 0 or positive.min() >= _SMALLEST_SAFE_ENTRY
         self.band = _relative_band(k)
         self.chunk = max(1, _CHUNK_PRODUCT // (k * k))
+        self.block = self.chunk * max(1, _BLOCK_ENTRIES // (self.chunk * k))
         if criterion in _PAIR_SCREENS:
             first, second = _upper_pairs(k)
             values = table[first, second]
@@ -142,9 +151,26 @@ class CandidateScreen:
         pos = self._first_pair(masks, same_side=True)
         return np.where(pos >= 0, self.pairs[2][pos], 0.0)
 
+    def _products(self, side: np.ndarray) -> np.ndarray:
+        """``side @ table``, formed ``chunk`` rows at a time."""
+        side = side.astype(float)
+        if len(side) <= self.chunk:
+            return side @ self.table
+        out = np.empty((len(side), self.k))
+        for start in range(0, len(side), self.chunk):
+            part = slice(start, start + self.chunk)
+            np.matmul(side[part], self.table, out=out[part])
+        return out
+
     def score(self, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Screened scores and bands of the candidates in ``masks`` (C-by-k, True = left)."""
-        scores, bands = self._score(masks, lambda side: side.astype(float) @ self.table)
+        """Screened scores and bands of the candidates in ``masks`` (C-by-k, True = left).
+
+        A batch of any length is screened at once. Its row products are
+        formed ``chunk`` rows at a time from its first row, so a batch of
+        whole chunks gets bitwise the scores and bands of its chunks
+        screened one at a time.
+        """
+        scores, bands = self._score(masks, self._products)
         if not self.bounded:
             bands = np.where(bands == 0.0, 0.0, np.inf)
         return scores, bands
@@ -226,9 +252,12 @@ def _pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
     return pairs
 
 
+_EPS = float(np.finfo(float).eps)
+
+
 def _relative_band(k: int) -> float:
     """8 * rho, rho = (k^2 + 2k + 16) * eps: the screen's relative band for a k-object table."""
-    return 8.0 * (k * k + 2 * k + 16) * np.finfo(float).eps
+    return 8.0 * (k * k + 2 * k + 16) * _EPS
 
 
 def _plain_sums(table: np.ndarray, masks: np.ndarray) -> np.ndarray:

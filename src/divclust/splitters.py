@@ -30,6 +30,7 @@ from .core import (
 from .criteria import (
     CandidateScreen,
     Criterion,
+    _EPS,
     _plain_sums,
     _relative_band,
     _side_means,
@@ -119,14 +120,16 @@ def two_seeds_split(
     are scored with ``criterion`` and the first strict maximum over the
     lexicographic pair enumeration wins.
 
-    Candidates are screened as they are built, one chunk of seed pairs at a
-    time in bounded scratch memory (:class:`CandidateScreen`). Only those
-    whose screened score lies within the error bands of the screened maximum
-    are rescored exactly, by the same expressions on plain numpy sums, each
-    distinct mask once. None is rescored when all their bands are zero
-    (exact scores), or when they all make one bipartition, in either
-    orientation, as the exact scores could then only choose its orientation.
-    So the choice is the one exact scoring of every candidate would make.
+    Candidates are screened as they are built, one block of seed pairs at a
+    time in bounded scratch memory (:class:`CandidateScreen`): a whole number
+    of chunks of at most 2^18 / k^2 candidates, whose C-by-k temporaries stay
+    within 2^13 entries. Only those whose screened score lies within the
+    error bands of the screened maximum are rescored exactly, by the same
+    expressions on plain numpy sums, each distinct mask once. None is
+    rescored when all their bands are zero (exact scores), or when they all
+    make one bipartition, in either orientation, as the exact scores could
+    then only choose its orientation. So the choice is the one exact scoring
+    of every candidate would make.
     """
     return split_cluster(m, members, Splitter(TWO_SEEDS, criterion))
 
@@ -134,24 +137,27 @@ def two_seeds_split(
 def _two_seeds_mask(sub: np.ndarray, criterion: Criterion) -> np.ndarray:
     """Winning two-seeds candidate of a cluster's table, as seed i's side mask.
 
-    The seed pairs' masks are built and screened one chunk at a time. The
-    contenders' masks are then rebuilt, in one more pass of chunks, into the
-    distinct masks among them, in seed-pair order. If they all make one
-    bipartition, in either orientation, it is returned unscored:
-    ``split_mask`` orients every winner to the first member's side. Else each
-    distinct mask is rescored, and the first strict maximum wins.
+    The seed pairs' masks are built and screened ``screen.block`` pairs at a
+    time, and the screen forms each block's row products ``screen.chunk``
+    rows at a time. A block is a whole number of chunks, so every product,
+    and so every screened score, is bitwise what screening one chunk at a
+    time gives. The contenders' masks are then rebuilt, in one more pass of
+    blocks, into the distinct masks among them, in seed-pair order.
+    If they all make one bipartition, in either orientation, it is returned
+    unscored: ``split_mask`` orients every winner to the first member's side.
+    Else each distinct mask is rescored, and the first strict maximum wins.
     """
     a, b = _upper_pairs(len(sub))  # every (a, b) with a < b, in lexicographic order
     screen = CandidateScreen(criterion, sub)
 
-    def chunks(which):
-        for start in range(0, which.size, screen.chunk):
-            part = which[start : start + screen.chunk]
+    def blocks(which):
+        for start in range(0, which.size, screen.block):
+            part = which[start : start + screen.block]
             yield _pair_masks(sub, a[part], b[part])
 
-    screened = [screen.score(masks) for masks in chunks(np.arange(a.size))]
-    scores = np.concatenate([chunk[0] for chunk in screened])
-    bands = np.concatenate([chunk[1] for chunk in screened])
+    screened = [screen.score(masks) for masks in blocks(np.arange(a.size))]
+    scores = np.concatenate([block[0] for block in screened])
+    bands = np.concatenate([block[1] for block in screened])
     # every candidate that can reach the best lower bound (an infinite band
     # has none); a NaN anywhere fails every comparison and keeps them all, as
     # exact scoring would see them
@@ -162,7 +168,7 @@ def _two_seeds_mask(sub: np.ndarray, criterion: Criterion) -> np.ndarray:
         first = contenders[:1]
         return _pair_masks(sub, a[first], b[first])[0]
     distinct: dict[bytes, np.ndarray] = {}
-    for masks in chunks(contenders):
+    for masks in blocks(contenders):
         for mask in masks:
             distinct.setdefault(mask.tobytes(), mask)
     # the exact scores only choose among bipartitions: with one, in either
@@ -197,7 +203,6 @@ def macnaughton_smith_split(m: DissimilarityMatrix, members) -> Bipartition:
 # Covers the roundings of a(x) and b(x) that fall in the subnormal range, where
 # relative bounds fail; a row of zeros gets none, as its sums and gap are exactly zero.
 _SUBNORMAL_SLACK = 8 * np.finfo(float).smallest_subnormal
-_EPS = float(np.finfo(float).eps)
 
 
 class _SideSums:

@@ -157,6 +157,20 @@ def assert_screen_within_bands(sub):
                     assert abs(screened - exact) <= band, (crit, mask)
 
 
+@pytest.mark.parametrize("crit", list(dc.Criterion))
+def test_screen_of_many_chunks_is_bitwise_the_screen_of_each_chunk(crit):
+    # the search screens blocks of several chunks at once; every score and
+    # band must be bitwise those of one chunk-sized batch at a time
+    sub = random_matrix(8100, 100)[0].square()
+    screen = CandidateScreen(crit, sub)
+    assert screen.chunk == 26
+    masks = seed_pair_masks(sub)
+    whole = screen.score(masks)
+    parts = [screen.score(masks[start : start + 26]) for start in range(0, len(masks), 26)]
+    for got, expected in zip(whole, zip(*parts)):
+        assert got.tobytes() == np.concatenate(expected).tobytes()
+
+
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(tie_heavy_matrices(), st.sampled_from([0.1, 1.0 / 3.0]))
 def test_screen_stays_within_its_bands_on_tie_heavy_input(case, unit):

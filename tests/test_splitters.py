@@ -180,6 +180,24 @@ def test_two_seeds_matches_exact_scoring_of_every_candidate(token):
         assert got == exact_loop_split(m, members, criterion)
 
 
+@pytest.mark.parametrize("kind", ["random", "groups"])
+def test_two_seeds_matches_exact_scoring_across_blocks_of_several_chunks(kind):
+    # at k = 72 a screened block is two chunks of 50 seed pairs, so the 2 556
+    # pairs make 26 blocks, and the last block and its last chunk are partial
+    k = 72
+    if kind == "random":
+        m, _ = random_matrix(7200, k)
+    else:
+        rng = np.random.default_rng(72)
+        points = np.concatenate([rng.normal(centre, 0.3, (24, 3)) for centre in (0.0, 8.0, 16.0)])
+        m = dc.euclidean_from_data(points[rng.permutation(k)])
+    screen = CandidateScreen(dc.Criterion.AVERAGE_LINK, m.square())
+    assert (screen.chunk, screen.block) == (50, 100)
+    for criterion in dc.Criterion:
+        got = dc.two_seeds_split(m, range(k), criterion)
+        assert got == exact_loop_split(m, range(k), criterion), criterion
+
+
 def record_exact_calls(monkeypatch) -> list:
     """(criterion, left members) of every CandidateScreen.exact call from now on."""
     calls = []

@@ -34,9 +34,10 @@ bytes, or the error's class name where CPCC is undefined, so a rewrite of
 The run also counts the ``CandidateScreen.exact`` calls the builds make, the
 two-seeds rescores, per criterion: a change to which contenders are
 rescored shows there, as a changed tree shows in a digest. Beside them it
-counts, per family, the clusters where a ``pddp`` build found no positive
-principal axis and fell back to the ``two-seeds:average`` split, whose
-rescores are among the ``average`` calls.
+counts, per family, the ``CandidateScreen.score`` calls, each one batch of
+candidates a two-seeds search screens, and the clusters where a ``pddp``
+build found no positive principal axis and fell back to the
+``two-seeds:average`` split, whose rescores are among the ``average`` calls.
 
 Run from the repository root:
 
@@ -149,16 +150,16 @@ def build_record(m: DissimilarityMatrix, token: str) -> tuple[bytes, bytes, byte
     return "\0".join(parts).encode(), values.condensed.astype("<f8").tobytes(), score
 
 
-def count_exact_calls() -> Counter:
-    """Count every ``CandidateScreen.exact`` call from now on, by criterion."""
+def count_screen_calls(name: str) -> Counter:
+    """Count every call of the ``CandidateScreen`` method ``name`` from now on, by criterion."""
     calls = Counter()
-    exact = CandidateScreen.exact
+    method = getattr(CandidateScreen, name)
 
-    def counted(screen, mask):
+    def counted(screen, masks):
         calls[screen.criterion.value] += 1
-        return exact(screen, mask)
+        return method(screen, masks)
 
-    CandidateScreen.exact = counted
+    setattr(CandidateScreen, name, counted)
     return calls
 
 
@@ -178,6 +179,10 @@ def count_pddp_fallbacks() -> Counter:
     return calls
 
 
+def per_family(counts: dict[str, int]) -> str:
+    return ", ".join(f"{family} {count}" for family, count in counts.items())
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--each", action="store_true", help="also print one digest per build")
@@ -185,11 +190,14 @@ def main() -> None:
     values_digest = hashlib.sha256()
     cpcc_digest = hashlib.sha256()
     total = 0
-    calls = count_exact_calls()
+    calls = count_screen_calls("exact")
+    batches = count_screen_calls("score")
     fallbacks = count_pddp_fallbacks()
-    per_family = {}
+    family_batches = {}
+    family_fallbacks = {}
     for family, tables in families().items():
-        before = fallbacks.total()
+        batches_before = batches.total()
+        fallbacks_before = fallbacks.total()
         digest = hashlib.sha256()
         for index, (m, tokens) in enumerate(tables):
             for token in tokens:
@@ -200,7 +208,8 @@ def main() -> None:
                 cpcc_digest.update(build + score + b"\0")
                 if args.each:
                     print(family, index, token, hashlib.sha256(record).hexdigest()[:16])
-        per_family[family] = fallbacks.total() - before
+        family_batches[family] = batches.total() - batches_before
+        family_fallbacks[family] = fallbacks.total() - fallbacks_before
         builds = sum(len(tokens) for _, tokens in tables)
         total += builds
         print(f"{family}: {builds} builds {digest.hexdigest()}")
@@ -208,8 +217,8 @@ def main() -> None:
     print(f"cpcc: {total} builds {cpcc_digest.hexdigest()}")
     per_criterion = ", ".join(f"{name} {count}" for name, count in sorted(calls.items()))
     print(f"exact calls: {calls.total()} ({per_criterion})")
-    per_family_text = ", ".join(f"{family} {count}" for family, count in per_family.items())
-    print(f"pddp fallbacks: {fallbacks.total()} ({per_family_text})")
+    print(f"screened batches: {batches.total()} ({per_family(family_batches)})")
+    print(f"pddp fallbacks: {fallbacks.total()} ({per_family(family_fallbacks)})")
 
 
 if __name__ == "__main__":
