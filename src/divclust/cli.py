@@ -88,9 +88,9 @@ def _load_matrix(path: str, fmt: str, header: bool):
     return read_distance_csv(path)
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_text(path: str, *texts: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+        fh.writelines(texts)  # one write each, so a large text is never copied to add a newline
 
 
 def _read_text(path: str) -> str:
@@ -101,9 +101,9 @@ def _read_text(path: str) -> str:
 def _cmd_cluster(args) -> int:
     m = _load_matrix(args.input, args.format, args.header)
     tree = build_hierarchy(m, args.algo)
-    _write_text(args.out, tree_to_json(tree) + "\n")
+    _write_text(args.out, tree_to_json(tree), "\n")
     if args.newick:
-        _write_text(args.newick, to_newick(tree) + "\n")
+        _write_text(args.newick, to_newick(tree), "\n")
     return 0
 
 

@@ -154,11 +154,19 @@ def validate_matrix(raw: np.ndarray | Sequence[Sequence[float]]) -> Dissimilarit
     mask = _upper(n)
     upper = arr[mask]
     lower = arr.T[mask]
-    tol = SYMMETRY_RTOL * np.maximum(1.0, np.abs(upper))
+    # |upper - lower|, then the means, in one buffer; the tolerances in a
+    # second, freed before the means are formed
     with np.errstate(over="ignore"):  # an overflowing difference is inf, beyond any tolerance
-        if (np.abs(upper - lower) > tol).any():
+        gap = np.subtract(upper, lower)
+        np.abs(gap, out=gap)
+        tol = np.abs(upper)
+        np.maximum(tol, 1.0, out=tol)
+        tol *= SYMMETRY_RTOL
+        if (gap > tol).any():
             raise AsymmetricMatrixError("matrix is asymmetric beyond tolerance")
-        mean = (upper + lower) / 2.0
+        del tol
+        mean = np.add(upper, lower, out=gap)
+        mean /= 2.0
     # a pair whose sum overflows is averaged from halves, which cannot
     big = np.isinf(mean)
     mean[big] = upper[big] / 2.0 + lower[big] / 2.0

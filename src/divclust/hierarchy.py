@@ -391,20 +391,23 @@ def tree_to_json(tree: Dendrogram) -> str:
 
     Equal to ``json.dumps({"n": ..., "nodes": [...]}, indent=2)``, but each
     record is formatted directly: the indenting encoder is pure Python and
-    works element by element.
+    works element by element. Each record's text is formatted once, into
+    one list of pieces that is joined once, so at its peak the writer holds
+    its text about twice: in the pieces and joined.
     """
     names = [str(i) for i in range(tree.n)]  # every member is an index below n
-    records = []
+    pieces = [f'{{\n  "n": {tree.n},\n  "nodes": [']
     nodes = zip(tree._member_lists(), tree.levels.tolist(), tree.children.tolist())
     for nid, (members, level, (first, second)) in enumerate(nodes):
-        text = ",\n        ".join(map(names.__getitem__, members))
         # json writes a finite float as its repr
-        rec = (f'{{\n      "id": {nid},\n      "members": [\n        {text}\n      ],'
-               f'\n      "level": {float(f"{level:.9g}")!r}')
+        pieces += (f'{"," if nid else ""}\n    {{\n      "id": {nid},\n      "members": [\n        ',
+                   ",\n        ".join(map(names.__getitem__, members)),
+                   f'\n      ],\n      "level": {float(f"{level:.9g}")!r}')
         if first >= 0:
-            rec += f',\n      "children": [\n        {first},\n        {second}\n      ]'
-        records.append(rec + "\n    }")
-    return f'{{\n  "n": {tree.n},\n  "nodes": [\n    ' + ",\n    ".join(records) + "\n  ]\n}"
+            pieces.append(f',\n      "children": [\n        {first},\n        {second}\n      ]')
+        pieces.append("\n    }")
+    pieces.append("\n  ]\n}")
+    return "".join(pieces)
 
 
 def _as_index(value, what: str) -> int:
@@ -414,9 +417,23 @@ def _as_index(value, what: str) -> int:
 
 
 def _as_members(values: list) -> list[int]:
-    if not set(map(type, values)) <= {int}:  # checked in bulk; a bool's type is bool, not int
+    # A JSON value adds to an int only if it is an int or a bool: one float
+    # makes the sum a float, and a string, null, list or object makes it
+    # raise (a huge int beside a float overflows). A bool adds as 0 or 1, but
+    # the member lists of an accepted tree ascend strictly from 0, so only
+    # the first two members can equal 0 or 1; a bool after them fails the
+    # structural checks instead.
+    try:
+        total = sum(values)
+    except (TypeError, OverflowError):
+        total = None
+    if type(total) is not int or not all(type(v) is int for v in values[:2]):
         raise DivclustError("malformed tree JSON: member must be an integer")
     return values
+
+
+_REQUIRED_FIELDS = frozenset({"id", "members", "level"})
+_KNOWN_FIELDS = _REQUIRED_FIELDS | {"children"}
 
 
 def tree_from_json(text: str) -> Dendrogram:
@@ -435,9 +452,9 @@ def tree_from_json(text: str) -> Dendrogram:
         raise DivclustError("malformed tree JSON: 'nodes' must be a list")
     records = []
     for rec in raw_nodes:
-        if not isinstance(rec, dict) or not {"id", "members", "level"} <= set(rec):
+        if not isinstance(rec, dict) or not rec.keys() >= _REQUIRED_FIELDS:
             raise DivclustError("malformed tree JSON: bad node record")
-        if not set(rec) <= {"id", "members", "level", "children"}:
+        if not rec.keys() <= _KNOWN_FIELDS:
             raise DivclustError("malformed tree JSON: unknown node field")
         members = rec["members"]
         if not isinstance(members, list):

@@ -57,6 +57,9 @@ def test_cluster_from_distance_csv(tmp_path, dist_csv):
     assert payload["nodes"][0]["children"] == [1, 2]
     assert newick.read_text() == "((o1:1,o2:1):10,(o3:1,o4:1):10);\n"
     assert b"\r" not in out.read_bytes()
+    tree = dc.build_hierarchy(dc.read_distance_csv(dist_csv), "two-seeds:average")
+    assert out.read_bytes() == (dc.tree_to_json(tree) + "\n").encode()
+    assert newick.read_bytes() == (dc.to_newick(tree) + "\n").encode()
 
 
 @pytest.mark.parametrize("algo", ["two-seeds:ward1", "average-agglomerative"])
@@ -318,6 +321,31 @@ def test_plot_and_eval_exit_2_on_tree_json_python_cannot_hold(tmp_path, dist_csv
     assert cli.main(["eval", "--tree", str(bad), "--input", str(dist_csv)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 2 and all(line.startswith("error: malformed tree JSON") for line in err)
+
+
+def test_plot_and_eval_exit_2_on_a_bool_after_the_second_member(tmp_path, capsys):
+    # the member check reads the types of the first two members only; the
+    # structural checks reject the rest
+    records = [
+        {"id": 0, "members": [0, 1, True], "level": 2.0, "children": [1, 2]},
+        {"id": 1, "members": [0, 1], "level": 1.0, "children": [3, 4]},
+        {"id": 2, "members": [2], "level": 0.0},
+        {"id": 3, "members": [0], "level": 0.0},
+        {"id": 4, "members": [1], "level": 0.0},
+    ]
+    text = json.dumps({"n": 3, "nodes": records})
+    with pytest.raises(dc.DivclustError):
+        dc.tree_from_json(text)
+    good = text.replace("true", "2")
+    assert dc.tree_from_json(good).n == 3
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    dist = tmp_path / "dist.csv"
+    dist.write_text("0,1,2\n1,0,2\n2,2,0\n")
+    assert cli.main(["plot", "--tree", str(bad), "--out", str(tmp_path / "x.svg")]) == 2
+    assert cli.main(["eval", "--tree", str(bad), "--input", str(dist)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("error:") for line in err)
 
 
 def test_argparse_failures_exit_with_2(tmp_path, capsys):

@@ -195,6 +195,22 @@ def test_square_of_a_large_matrix_holds_little_beside_the_table():
     assert peak < 12e6
 
 
+def test_validating_a_large_table_holds_little_beside_it():
+    rank = np.random.default_rng(0).permutation(1100)
+    raw = np.maximum.outer(rank, rank).astype(float)
+    np.fill_diagonal(raw, 0.0)
+    # the two packed triangles, two packed buffers and the stored copy are
+    # 4.8 MB each; the upper-triangle mask is 1.2 MB
+    tracemalloc.start()
+    try:
+        m = dc.validate_matrix(raw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24e6
+    assert np.array_equal(m.square(), raw)
+
+
 def test_matrix_views_are_readonly():
     m, _ = random_matrix(3, 4)
     with pytest.raises(ValueError):

@@ -537,6 +537,18 @@ def test_json_text_keeps_its_layout_on_a_deep_caterpillar():
     assert dc.tree_to_json(back) == text
 
 
+def test_json_writer_holds_its_text_about_twice_on_a_deep_caterpillar():
+    tree = caterpillar(1100)
+    # 1100 member lists adding up to 605 000 entries: 8.0 MB of text
+    tracemalloc.start()
+    try:
+        text = dc.tree_to_json(tree)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * len(text)
+
+
 def test_json_accepts_shuffled_node_order():
     records = [
         {"id": 1, "members": [0], "level": 0},
@@ -559,6 +571,14 @@ BAD_JSON = [
     '{"n": 2, "nodes": [{"id": 0, "members": [0, 1], "level": 5, "label": "x"}]}',
     '{"n": 2, "nodes": [{"id": 0, "members": 0, "level": 5}]}',
     '{"n": 2, "nodes": [{"id": 0, "members": [true], "level": 5}]}',
+    '{"n": 2, "nodes": [{"id": 0, "members": [0, true], "level": 5}]}',
+    '{"n": 3, "nodes": [{"id": 0, "members": [0, 1, 2.5], "level": 5}]}',
+    '{"n": 3, "nodes": [{"id": 0, "members": [0, 1, "2"], "level": 5}]}',
+    '{"n": 3, "nodes": [{"id": 0, "members": [0, 1, null], "level": 5}]}',
+    '{"n": 3, "nodes": [{"id": 0, "members": [0, 1, [2]], "level": 5}]}',
+    '{"n": 3, "nodes": [{"id": 0, "members": [0, 1, {}], "level": 5}]}',
+    pytest.param('{"n": 3, "nodes": [{"id": 0, "members": [1%s, 0.5], "level": 5}]}' % ("0" * 400),
+                 id="member-of-401-digits-beside-a-float"),
     '{"n": 2, "nodes": [{"id": 0, "members": [0, 1], "level": "5"}]}',
     '{"n": 2, "nodes": [{"id": 0, "members": [0, 1], "level": true}]}',
     '{"n": 2, "nodes": [{"id": 0.5, "members": [0, 1], "level": 5}]}',
