@@ -99,8 +99,8 @@ def _read_text(path: str) -> str:
 
 
 def _cmd_cluster(args) -> int:
-    m = _load_matrix(args.input, args.format, args.header)
-    tree = build_hierarchy(m, args.algo)
+    # the matrix, and any table cached on it, is freed before the writers run
+    tree = build_hierarchy(_load_matrix(args.input, args.format, args.header), args.algo)
     _write_text(args.out, tree_to_json(tree), "\n")
     if args.newick:
         _write_text(args.newick, to_newick(tree), "\n")

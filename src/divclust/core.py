@@ -41,6 +41,39 @@ def _upper(n: int) -> np.ndarray:
     return ~np.tri(n, dtype=bool)
 
 
+# A pass over a whole table works in blocks of rows of at most this many
+# entries (512 KB of floats), so its temporaries stay small beside the table.
+_BLOCK_ENTRIES = 1 << 16
+
+
+def _row_blocks(n: int, width: int = 1) -> Iterable[tuple[int, int]]:
+    """Row ranges [lo, hi) covering 0..n-1, of at least one row and at most _BLOCK_ENTRIES // (n * width)."""
+    step = max(1, _BLOCK_ENTRIES // (n * width))
+    for lo in range(0, n, step):
+        yield lo, min(lo + step, n)
+
+
+def _row_start(n: int, i: int) -> int:
+    """Packed position of row i's first pair (i, i + 1); the packed length for i = n."""
+    return i * n - i * (i + 1) // 2
+
+
+def _upper_block(n: int, lo: int, hi: int) -> np.ndarray:
+    """The strict upper triangle of rows lo..hi-1 and columns lo..n-1 as a mask, in packed order."""
+    return np.arange(lo, n) > np.arange(lo, hi)[:, None]
+
+
+def _unpack(n: int, values: np.ndarray) -> np.ndarray:
+    """The symmetric n-by-n table of packed ``values``, zero on the diagonal, writable."""
+    table = np.zeros((n, n))
+    for lo, hi in _row_blocks(n):
+        mask = _upper_block(n, lo, hi)
+        block = values[_row_start(n, lo):_row_start(n, hi)]
+        table[lo:hi, lo:][mask] = block
+        table[lo:, lo:hi].T[mask] = block
+    return table
+
+
 def pair_index(n: int, i: int, j: int) -> int:
     """Position of the unordered pair ``(i, j)`` in the packed upper triangle.
 
@@ -121,10 +154,7 @@ class DissimilarityMatrix:
     def square(self) -> np.ndarray:
         """Full symmetric n-by-n view (read-only, built once and cached)."""
         if self._square is None:
-            sq = np.zeros((self.n, self.n))
-            upper = _upper(self.n)
-            sq[upper] = self._values
-            sq.T[upper] = self._values
+            sq = _unpack(self.n, self._values)
             sq.setflags(write=False)
             self._square = sq
         return self._square
@@ -138,7 +168,9 @@ def validate_matrix(raw: np.ndarray | Sequence[Sequence[float]]) -> Dissimilarit
 
     Symmetry is accepted up to ``1e-9 * max(1, |raw[i, j]|)`` per entry and
     the two mirror entries are averaged before storage; diagonal entries may
-    deviate from zero by at most ``1e-12`` in absolute value.
+    deviate from zero by at most ``1e-12`` in absolute value. The table is
+    read in blocks of rows, so beside it only the packed means and one
+    block's temporaries are held.
     """
     arr = np.asarray(raw, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -146,31 +178,32 @@ def validate_matrix(raw: np.ndarray | Sequence[Sequence[float]]) -> Dissimilarit
     n = arr.shape[0]
     if n < 2:
         raise MatrixTooSmallError("a dissimilarity matrix needs at least 2 objects")
-    if not np.isfinite(arr).all():
+    # min and max carry a nan and reach any inf, and need no table-sized mask
+    if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
         raise NonFiniteEntryError("matrix entries must be finite")
     diag = np.diagonal(arr)
     if (np.abs(diag) > DIAGONAL_ATOL).any():
         raise NonZeroDiagonalError("diagonal entries must be zero")
-    mask = _upper(n)
-    upper = arr[mask]
-    lower = arr.T[mask]
-    # |upper - lower|, then the means, in one buffer; the tolerances in a
-    # second, freed before the means are formed
-    with np.errstate(over="ignore"):  # an overflowing difference is inf, beyond any tolerance
-        gap = np.subtract(upper, lower)
-        np.abs(gap, out=gap)
-        tol = np.abs(upper)
-        np.maximum(tol, 1.0, out=tol)
-        tol *= SYMMETRY_RTOL
-        if (gap > tol).any():
-            raise AsymmetricMatrixError("matrix is asymmetric beyond tolerance")
-        del tol
-        mean = np.add(upper, lower, out=gap)
-        mean /= 2.0
-    # a pair whose sum overflows is averaged from halves, which cannot
-    big = np.isinf(mean)
-    mean[big] = upper[big] / 2.0 + lower[big] / 2.0
-    return DissimilarityMatrix(n, mean)
+    means = np.empty(condensed_size(n))
+    for lo, hi in _row_blocks(n):
+        mask = _upper_block(n, lo, hi)
+        upper = arr[lo:hi, lo:][mask]
+        lower = arr[lo:, lo:hi].T[mask]
+        mean = means[_row_start(n, lo):_row_start(n, hi)]
+        with np.errstate(over="ignore"):  # an overflowing difference is inf, beyond any tolerance
+            gap = np.subtract(upper, lower)
+            np.abs(gap, out=gap)
+            tol = np.abs(upper)
+            np.maximum(tol, 1.0, out=tol)
+            tol *= SYMMETRY_RTOL
+            if (gap > tol).any():
+                raise AsymmetricMatrixError("matrix is asymmetric beyond tolerance")
+            np.add(upper, lower, out=mean)
+            mean /= 2.0
+        # a pair whose sum overflows is averaged from halves, which cannot
+        big = np.isinf(mean)
+        mean[big] = upper[big] / 2.0 + lower[big] / 2.0
+    return DissimilarityMatrix(n, means)
 
 
 def euclidean_from_data(data: np.ndarray | Sequence[Sequence[float]]) -> DissimilarityMatrix:
@@ -180,7 +213,8 @@ def euclidean_from_data(data: np.ndarray | Sequence[Sequence[float]]) -> Dissimi
     below the normal float range while the rows differ, is measured in units
     of its own largest absolute difference; every other distance is the
     plain one, bit for bit. Only distances that themselves exceed the float
-    range are rejected.
+    range are rejected. The pairs are formed in blocks of rows, so beside
+    the table only the distances and one block's differences are held.
     """
     arr = np.asarray(data, dtype=float)
     if arr.ndim != 2:
@@ -191,23 +225,30 @@ def euclidean_from_data(data: np.ndarray | Sequence[Sequence[float]]) -> Dissimi
         raise DivclustError("a data table needs at least 1 variable")
     if not np.isfinite(arr).all():
         raise NonFiniteEntryError("data entries must be finite")
-    ii, jj = np.nonzero(_upper(arr.shape[0]))
-    with np.errstate(over="ignore"):
-        diff = arr[ii] - arr[jj]
-        total = (diff * diff).sum(axis=1)
-    dist = np.sqrt(total)
-    redo = ~(np.isfinite(total) & (total >= np.finfo(float).tiny)) & (diff != 0.0).any(axis=1)
-    if redo.any():
-        a, b = arr[ii[redo]], arr[jj[redo]]
-        diff = diff[redo]
-        # a difference that overflows is taken between halves, which cannot
-        halved = ~np.isfinite(diff).all(axis=1)
-        diff[halved] = a[halved] * 0.5 - b[halved] * 0.5
-        scale = np.abs(diff).max(axis=1)
-        unit = diff / scale[:, None]
+    n, width = arr.shape
+    dists = np.empty(condensed_size(n))
+    for lo, hi in _row_blocks(n, width):
+        ii, jj = np.nonzero(_upper_block(n, lo, hi))
+        ii += lo
+        jj += lo
         with np.errstate(over="ignore"):
-            dist[redo] = np.where(halved, 2.0, 1.0) * scale * np.sqrt((unit * unit).sum(axis=1))
-    return DissimilarityMatrix(arr.shape[0], dist)
+            diff = arr[ii] - arr[jj]
+            total = (diff * diff).sum(axis=1)
+        dist = np.sqrt(total, out=dists[_row_start(n, lo):_row_start(n, hi)])
+        # only a sum out of the normal range can need a redo, and only if its rows differ
+        redo = np.flatnonzero(~(np.isfinite(total) & (total >= np.finfo(float).tiny)))
+        redo = redo[(diff[redo] != 0.0).any(axis=1)]
+        if redo.size:
+            a, b = arr[ii[redo]], arr[jj[redo]]
+            diff = diff[redo]
+            # a difference that overflows is taken between halves, which cannot
+            halved = ~np.isfinite(diff).all(axis=1)
+            diff[halved] = a[halved] * 0.5 - b[halved] * 0.5
+            scale = np.abs(diff).max(axis=1)
+            unit = diff / scale[:, None]
+            with np.errstate(over="ignore"):
+                dist[redo] = np.where(halved, 2.0, 1.0) * scale * np.sqrt((unit * unit).sum(axis=1))
+    return DissimilarityMatrix(n, dists)
 
 
 # A table whose max M lies outside this window is scaled by 2^-frexp(M), exact

@@ -86,7 +86,9 @@ def _strict_inversions(ranks: np.ndarray) -> int:
     with the right block after it, equal values left first, so each right
     value moves left by the number of larger values in its left block. The
     right values' old positions minus their new ones sum to the inversions
-    between the two blocks.
+    between the two blocks. Each block's keys are already a sorted run, so a
+    stable sort (timsort, which merges runs) takes each pass in linear time,
+    and the whole count O(P log P).
     """
     size = ranks.shape[0]
     shift = int(ranks.max()).bit_length() + 1
@@ -96,7 +98,7 @@ def _strict_inversions(ranks: np.ndarray) -> int:
     level = 0
     while 1 << level < size:
         side = (index >> level) & 1
-        merged = np.sort((index >> (level + 1) << shift) | (run << 1) | side)
+        merged = np.sort((index >> (level + 1) << shift) | (run << 1) | side, kind="stable")
         count += int(index @ side) - int(index @ (merged & 1))
         run = (merged & ((1 << shift) - 1)) >> 1
         level += 1

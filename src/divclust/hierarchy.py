@@ -17,7 +17,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .core import DissimilarityMatrix, _into_window, _is_integer, condensed_size
+from .core import DissimilarityMatrix, _into_window, _is_integer, _unpack, condensed_size
 from .errors import DivclustError, NoPositiveEigenvalueError
 from .splitters import Splitter, _Carried, parse_splitter, split_mask
 
@@ -297,7 +297,9 @@ def agglomerative_average_link(m: DissimilarityMatrix) -> Dendrogram:
     n = m.n
     node_ids = list(range(n))
     sizes = np.ones(n)
-    cross, shift = _into_window(m.square().copy())  # between-cluster SUMS, diagonal unused
+    packed, shift = _into_window(m.condensed)  # the packed values' max is the table's
+    cross = _unpack(n, packed)  # between-cluster SUMS, diagonal unused
+    del packed  # a scaled copy, if any
     nn = np.zeros(n, dtype=np.intp)
     best = np.full(n, np.inf)
 

@@ -10,7 +10,9 @@ of the splitters, which evaluate every gap afresh from plain sums at each
 decision, of the MacNaughton-Smith tree, which gathers every node's table,
 and of the average-link baseline, which scans the whole table of means for
 each merge. So tests can require the incremental code to choose
-bitwise alike on inputs whose sums round.
+bitwise alike on inputs whose sums round. ``validate_matrix_float`` and
+``euclidean_float`` keep the former ingest of a whole table at once, so
+tests can require the row-block code to give the same bits and errors.
 """
 
 from __future__ import annotations
@@ -21,8 +23,15 @@ import math
 
 import numpy as np
 
-from divclust.core import _into_window
+from divclust.core import DIAGONAL_ATOL, SYMMETRY_RTOL, DissimilarityMatrix, _into_window
 from divclust.criteria import _plain_sums, _side_means
+from divclust.errors import (
+    AsymmetricMatrixError,
+    MatrixTooSmallError,
+    NonFiniteEntryError,
+    NonZeroDiagonalError,
+    NotSquareError,
+)
 
 # Packed pair values for points 0, 1, 10, 11 on a line:
 # pairs (0,1), (0,2), (0,3), (1,2), (1,3), (2,3).
@@ -318,6 +327,48 @@ def average_link_float(m):
         mean[p, p + 1:] = cross[p, p + 1:] / (sizes[p] * sizes[p + 1:])
         mean[:p, p] = cross[:p, p] / (sizes[:p] * sizes[p])
     return nodes
+
+
+def validate_matrix_float(raw):
+    """``validate_matrix`` over the whole table at once, with full-length packed triangles."""
+    arr = np.asarray(raw, dtype=float)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise NotSquareError("not square")
+    n = arr.shape[0]
+    if n < 2:
+        raise MatrixTooSmallError("too small")
+    if not np.isfinite(arr).all():
+        raise NonFiniteEntryError("not finite")
+    if (np.abs(np.diagonal(arr)) > DIAGONAL_ATOL).any():
+        raise NonZeroDiagonalError("nonzero diagonal")
+    mask = ~np.tri(n, dtype=bool)
+    upper, lower = arr[mask], arr.T[mask]
+    with np.errstate(over="ignore"):
+        if (np.abs(upper - lower) > np.maximum(np.abs(upper), 1.0) * SYMMETRY_RTOL).any():
+            raise AsymmetricMatrixError("asymmetric")
+        mean = (upper + lower) / 2.0
+    big = np.isinf(mean)
+    mean[big] = upper[big] / 2.0 + lower[big] / 2.0
+    return DissimilarityMatrix(n, mean)
+
+
+def euclidean_float(data):
+    """``euclidean_from_data`` over every pair at once (valid, finite input)."""
+    arr = np.asarray(data, dtype=float)
+    ii, jj = np.triu_indices(arr.shape[0], 1)
+    with np.errstate(over="ignore"):
+        diff = arr[ii] - arr[jj]
+        total = (diff * diff).sum(axis=1)
+    dist = np.sqrt(total)
+    redo = ~(np.isfinite(total) & (total >= np.finfo(float).tiny)) & (diff != 0.0).any(axis=1)
+    a, b, diff = arr[ii[redo]], arr[jj[redo]], diff[redo]
+    halved = ~np.isfinite(diff).all(axis=1)
+    diff[halved] = a[halved] * 0.5 - b[halved] * 0.5
+    scale = np.abs(diff).max(axis=1)
+    unit = diff / scale[:, None]
+    with np.errstate(over="ignore"):
+        dist[redo] = np.where(halved, 2.0, 1.0) * scale * np.sqrt((unit * unit).sum(axis=1))
+    return DissimilarityMatrix(arr.shape[0], dist)
 
 
 def cophenetic_from_nodes(nodes, n):

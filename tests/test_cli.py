@@ -4,6 +4,7 @@ import json
 import math
 import re
 import tempfile
+import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
@@ -97,6 +98,29 @@ def test_cluster_average_link_whose_sums_round_below_a_child(tmp_path):
     np.savetxt(src, square + square.T, delimiter=",", fmt="%.17g")
     assert cli.main(["cluster", str(src), "--algo", "average-agglomerative", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["nodes"][-1]["level"] == 0.2  # the root
+
+
+@pytest.mark.parametrize("algo", ["macnaughton-smith", "average-agglomerative"])
+def test_cluster_of_a_large_table_holds_one_table_at_a_time(tmp_path, algo):
+    n = 1100
+    rank = np.random.default_rng(n).permutation(n)
+    raw = np.maximum.outer(rank, rank)
+    np.fill_diagonal(raw, 0)
+    path = tmp_path / "caterpillar.csv"
+    np.savetxt(path, raw, fmt="%d", delimiter=",")
+    del raw
+    # the parsed 1100 x 1100 table is 9.7 MB; the matrix and the cached
+    # square are freed before the writer holds its 8 MB text about twice
+    tracemalloc.start()
+    try:
+        rc = cli.main(["cluster", str(path), "--algo", algo, "--out", str(tmp_path / "t.json")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert peak < 24e6
+    tree = dc.tree_from_json((tmp_path / "t.json").read_text())
+    assert sorted(tree.levels.tolist()) == [0.0] * n + list(map(float, range(1, n)))
 
 
 def test_cluster_from_data_csv(tmp_path):

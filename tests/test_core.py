@@ -4,8 +4,17 @@ import numpy as np
 import pytest
 
 import divclust as dc
+import divclust.core as core
 from conftest import random_matrix, random_points
-from helpers import LINE4_VALUES, cross_pairs, diam, mean_within, square_from_condensed
+from helpers import (
+    LINE4_VALUES,
+    cross_pairs,
+    diam,
+    euclidean_float,
+    mean_within,
+    square_from_condensed,
+    validate_matrix_float,
+)
 
 
 def test_pair_index_walks_rows_of_the_upper_triangle():
@@ -147,6 +156,35 @@ def test_euclidean_keeps_representable_data_bit_for_bit():
     assert dc.euclidean_from_data(pts).condensed.tobytes() == direct.tobytes()
 
 
+@pytest.mark.parametrize("rows", [1, 4, None])
+@pytest.mark.parametrize("scale", [1.0, 1e160, 1e-170])
+def test_euclidean_in_row_blocks_gives_the_all_pairs_bits(monkeypatch, rows, scale):
+    # 13 objects: blocks of 1 or 4 rows, or one block; the scaled squares
+    # overflow or underflow, so every block redoes some pairs
+    pts = random_points(63, 13, 10) * scale
+    pts[7] = pts[2]  # a zero distance, whose sum underflows but needs no redo
+    pts[9, 4] = 1.7e308  # its squares overflow at every scale
+    if rows is not None:
+        monkeypatch.setattr(core, "_BLOCK_ENTRIES", rows * 13 * 10)
+    got = dc.euclidean_from_data(pts)
+    assert got.condensed.tobytes() == euclidean_float(pts).condensed.tobytes()
+
+
+def test_euclidean_distances_of_a_large_table_hold_little_beside_them():
+    pts = random_points(64, 1100, 10)
+    # the distances and the stored copy are 4.8 MB each; a block of 5 rows
+    # holds at most 5 495 pairs, so its pair differences are 0.4 MB
+    tracemalloc.start()
+    try:
+        m = dc.euclidean_from_data(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6
+    ii, jj = np.triu_indices(1100, 1)
+    assert m.condensed.tobytes() == np.sqrt(((pts[ii] - pts[jj]) ** 2).sum(axis=1)).tobytes()
+
+
 def test_euclidean_rejects_distances_beyond_the_float_range():
     with pytest.raises(dc.NonFiniteEntryError):
         dc.euclidean_from_data([[-1.5e308], [1.5e308]])
@@ -199,16 +237,96 @@ def test_validating_a_large_table_holds_little_beside_it():
     rank = np.random.default_rng(0).permutation(1100)
     raw = np.maximum.outer(rank, rank).astype(float)
     np.fill_diagonal(raw, 0.0)
-    # the two packed triangles, two packed buffers and the stored copy are
-    # 4.8 MB each; the upper-triangle mask is 1.2 MB
+    # the packed means and the stored copy are 4.8 MB each; a block of 59
+    # rows holds at most 2^16 entries, so each of its temporaries is 0.5 MB
     tracemalloc.start()
     try:
         m = dc.validate_matrix(raw)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 24e6
+    assert peak < 12e6
     assert np.array_equal(m.square(), raw)
+
+
+def noisy_table(seed: int, n: int) -> np.ndarray:
+    """A symmetric table whose mirror entries differ within the tolerance."""
+    rng = np.random.default_rng(seed)
+    raw = np.triu(rng.uniform(0.0, 3.0, (n, n)), 1)
+    raw = raw + raw.T
+    raw *= 1.0 + rng.uniform(-4e-10, 4e-10, (n, n))
+    np.fill_diagonal(raw, 0.0)
+    return raw
+
+
+def assert_same_ingest(raw):
+    """validate_matrix gives the whole-table ingest's bits, or its error."""
+    try:
+        want = validate_matrix_float(raw)
+    except dc.DivclustError as exc:
+        with pytest.raises(type(exc)):
+            dc.validate_matrix(raw)
+    else:
+        assert dc.validate_matrix(raw).condensed.tobytes() == want.condensed.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 11, 12, 13, 300])
+@pytest.mark.parametrize("rows", [1, 3, None])
+def test_validate_matrix_in_row_blocks_gives_the_whole_table_bits(monkeypatch, n, rows):
+    # rows per block 1, 3 or the default (218 at n = 300, so 300 is not a multiple of it)
+    if rows is not None:
+        monkeypatch.setattr(core, "_BLOCK_ENTRIES", rows * n)
+    for seed in range(3):
+        assert_same_ingest(noisy_table(seed, n))
+
+
+@pytest.mark.parametrize("n", [11, 12])
+def test_validate_matrix_rejects_an_asymmetric_pair_only_in_the_last_block(monkeypatch, n):
+    # blocks of 3 rows: the pair (n - 2, n - 1) is read in the last one, rows 9-10 or 9-11
+    monkeypatch.setattr(core, "_BLOCK_ENTRIES", 3 * n)
+    raw = noisy_table(4, n)
+    raw[n - 1, n - 2] += 1e-6
+    with pytest.raises(dc.AsymmetricMatrixError):
+        dc.validate_matrix(raw)
+    assert_same_ingest(raw)
+    # a non-finite entry later in the table still wins over an earlier asymmetry
+    raw = noisy_table(4, n)
+    raw[0, 1] += 1e-6
+    raw[n - 1, n - 2] = np.nan
+    with pytest.raises(dc.NonFiniteEntryError):
+        dc.validate_matrix(raw)
+
+
+def test_validate_matrix_averages_an_overflowing_mirror_pair_inside_a_middle_block(monkeypatch):
+    monkeypatch.setattr(core, "_BLOCK_ENTRIES", 3 * 11)  # blocks of rows 0-2, 3-5, 6-8, 9-10
+    top = 1.7e308
+    near = float(np.nextafter(top, 0.0))
+    raw = noisy_table(5, 11)
+    raw[4, 7], raw[7, 4] = top, near
+    raw[3, 9] = raw[9, 3] = top
+    m = dc.validate_matrix(raw)
+    assert m.value(4, 7) == top / 2.0 + near / 2.0
+    assert m.value(3, 9) == top
+    assert_same_ingest(raw)
+    raw[5, 6], raw[6, 5] = top, -top  # the difference overflows: asymmetric, not an error of the sum
+    with pytest.raises(dc.AsymmetricMatrixError):
+        dc.validate_matrix(raw)
+
+
+@pytest.mark.parametrize("rows", [1, 2, None])
+def test_validate_matrix_of_two_objects(monkeypatch, rows):
+    if rows is not None:
+        monkeypatch.setattr(core, "_BLOCK_ENTRIES", rows * 2)
+    for raw in ([[0.0, 2.0], [2.0 + 1e-9, 0.0]], [[0.0, 1.7e308], [1.7e308, 0.0]],
+                [[0.0, 1.0], [1.1, 0.0]], [[0.0, -1.0], [-1.0, 0.0]], [[0.0, 1.0], [1.0, 1e-3]]):
+        assert_same_ingest(raw)
+
+
+@pytest.mark.parametrize("n", [2, 7, 11])
+def test_square_in_row_blocks_mirrors_the_packed_values(monkeypatch, n):
+    monkeypatch.setattr(core, "_BLOCK_ENTRIES", 3 * n)
+    m, values = random_matrix(12, n)
+    assert m.square().tolist() == square_from_condensed(n, values)
 
 
 def test_matrix_views_are_readonly():

@@ -364,6 +364,19 @@ def test_agglomerative_matches_the_full_table_scan_on_a_1100_leaf_caterpillar():
     assert [node_tuple(x) for x in tree.nodes] == average_link_float(m)
 
 
+def test_agglomerative_holds_one_working_table_beside_its_packed_input():
+    m = caterpillar_matrix(1100)
+    # its 1100 x 1100 table of between-cluster sums is 9.7 MB, unpacked
+    # from the packed values in place of a copy of the cached square
+    tracemalloc.start()
+    try:
+        dc.agglomerative_average_link(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6
+
+
 def test_build_hierarchy_rejects_unknown_token(line4):
     with pytest.raises(dc.DivclustError, match="unknown algorithm"):
         dc.build_hierarchy(line4, "k-means")
