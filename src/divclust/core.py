@@ -36,11 +36,6 @@ def condensed_size(n: int) -> int:
     return n * (n - 1) // 2
 
 
-def _upper(n: int) -> np.ndarray:
-    """The strict upper triangle of an n-by-n table as a mask; row-major, the packed order."""
-    return ~np.tri(n, dtype=bool)
-
-
 # A pass over a whole table works in blocks of rows of at most this many
 # entries (512 KB of floats), so its temporaries stay small beside the table.
 _BLOCK_ENTRIES = 1 << 16
@@ -59,7 +54,7 @@ def _row_start(n: int, i: int) -> int:
 
 
 def _upper_block(n: int, lo: int, hi: int) -> np.ndarray:
-    """The strict upper triangle of rows lo..hi-1 and columns lo..n-1 as a mask, in packed order."""
+    """Rows lo..hi-1 and columns lo..n-1 of the strict upper triangle as a mask, in packed order."""
     return np.arange(lo, n) > np.arange(lo, hi)[:, None]
 
 
@@ -169,8 +164,8 @@ def validate_matrix(raw: np.ndarray | Sequence[Sequence[float]]) -> Dissimilarit
     Symmetry is accepted up to ``1e-9 * max(1, |raw[i, j]|)`` per entry and
     the two mirror entries are averaged before storage; diagonal entries may
     deviate from zero by at most ``1e-12`` in absolute value. The table is
-    read in blocks of rows, so beside it only the packed means and one
-    block's temporaries are held.
+    read in blocks of rows, so beside it only the packed means, the matrix's
+    copy of them and one block's temporaries are held.
     """
     arr = np.asarray(raw, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -214,7 +209,8 @@ def euclidean_from_data(data: np.ndarray | Sequence[Sequence[float]]) -> Dissimi
     of its own largest absolute difference; every other distance is the
     plain one, bit for bit. Only distances that themselves exceed the float
     range are rejected. The pairs are formed in blocks of rows, so beside
-    the table only the distances and one block's differences are held.
+    the table only the distances, the matrix's copy of them and one block's
+    differences are held.
     """
     arr = np.asarray(data, dtype=float)
     if arr.ndim != 2:
@@ -300,7 +296,7 @@ def cluster_stats(
     aa = object_set(a)
     _check_range(aa, m.n)
     square = m.square()
-    within = square.take(aa, 0).take(aa, 1)[_upper(len(aa))]
+    within = square.take(aa, 0).take(aa, 1)[_upper_block(len(aa), 0, len(aa))]
     # a singleton has no within pairs: diameter and mean are zero
     stats = (float(within.max(initial=0.0)), float(within.mean()) if within.size else 0.0)
     if b is None:

@@ -19,7 +19,7 @@ from functools import cache
 
 import numpy as np
 
-from .core import Bipartition, DissimilarityMatrix, _check_range, _into_window, _upper
+from .core import Bipartition, DissimilarityMatrix, _check_range, _into_window, _upper_block
 from .errors import DivclustError, ObjectNotInBipartitionError
 
 
@@ -246,7 +246,7 @@ def _kept_pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
-    pairs = np.nonzero(_upper(k))
+    pairs = np.nonzero(_upper_block(k, 0, k))
     for index in pairs:
         index.setflags(write=False)
     return pairs
