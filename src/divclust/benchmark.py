@@ -18,7 +18,7 @@ import numpy as np
 from .core import _is_integer, euclidean_from_data
 from .errors import AllCellsMissingError, DivclustError, InvalidConfigError
 from .evaluation import concordance, goodman_kruskal
-from .hierarchy import AVERAGE_AGGLOMERATIVE, _parse_algorithm, build_hierarchy, cophenetic
+from .hierarchy import AVERAGE_AGGLOMERATIVE, build_hierarchy, cophenetic
 
 DEFAULT_ALGORITHMS: tuple[str, ...] = (
     "two-seeds:single",
@@ -60,13 +60,12 @@ def generate_dataset(master_seed: int, index: int, objects: int, variables: int)
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Benchmark shape: dataset count/size, seed, roster, and parallelism."""
+    """Benchmark shape: dataset count/size, seed, and parallelism; the roster is fixed."""
 
     dataset_count: int = 100
     objects: int = 40
     variables: int = 10
     master_seed: int = 0
-    algorithms: tuple[str, ...] = DEFAULT_ALGORITHMS
     thread_count: int | str = "auto"
 
     def validate(self) -> None:
@@ -80,17 +79,6 @@ class ExperimentConfig:
             raise InvalidConfigError("objects must be at least 3")
         if self.variables < 1:
             raise InvalidConfigError("variables must be at least 1")
-        if not self.algorithms:
-            raise InvalidConfigError("algorithm roster is empty")
-        if not all(isinstance(token, str) for token in self.algorithms):
-            raise InvalidConfigError("algorithm tokens must be strings")
-        if len(set(self.algorithms)) != len(self.algorithms):
-            raise InvalidConfigError("algorithm roster has duplicates")
-        for token in self.algorithms:
-            try:
-                _parse_algorithm(token)
-            except DivclustError:
-                raise InvalidConfigError(f"unknown algorithm: {token!r}") from None
         if self.thread_count != "auto" and (
             not _is_integer(self.thread_count) or self.thread_count < 1
         ):
@@ -125,11 +113,10 @@ class AlgorithmSummary:
     valid_count: int
 
 
-def _dataset_row(args: tuple[int, int, int, int, tuple[str, ...]]) -> tuple[float | None, ...]:
-    master_seed, index, objects, variables, algorithms = args
-    m = euclidean_from_data(generate_dataset(master_seed, index, objects, variables))
+def _dataset_row(args: tuple[int, int, int, int]) -> tuple[float | None, ...]:
+    m = euclidean_from_data(generate_dataset(*args))
     row: list[float | None] = []
-    for token in algorithms:
+    for token in DEFAULT_ALGORITHMS:
         try:
             u = cophenetic(build_hierarchy(m, token))
             row.append(goodman_kruskal(concordance(m, u)))
@@ -148,7 +135,7 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
     """
     config.validate()
     jobs = [
-        (config.master_seed, i, config.objects, config.variables, config.algorithms)
+        (config.master_seed, i, config.objects, config.variables)
         for i in range(config.dataset_count)
     ]
     workers = min(config.resolved_threads(), _usable_cores(), config.dataset_count)
@@ -160,7 +147,7 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_dataset_row, jobs, chunksize=1))
-    return ResultTable(config.algorithms, tuple(rows))
+    return ResultTable(DEFAULT_ALGORITHMS, tuple(rows))
 
 
 def summarize(table: ResultTable) -> tuple[AlgorithmSummary, ...]:

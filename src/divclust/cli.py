@@ -95,7 +95,10 @@ def _write_text(path: str, *texts: str) -> None:
 
 def _read_text(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise DivclustError(str(exc)) from None
 
 
 def _cmd_cluster(args) -> int:
@@ -168,10 +171,10 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (DivclustError, ValueError, OSError, IndexError) as exc:
+    except (DivclustError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except Exception as exc:  # pragma: no cover - internal failure guard
+    except Exception as exc:  # any other exception is a fault of the program
         sys.stderr.write(f"internal error: {exc}\n")
         return 1
 

@@ -80,7 +80,7 @@ def pair_index(n: int, i: int, j: int) -> int:
         raise DivclustError("pair index needs two distinct objects")
     if i > j:
         i, j = j, i
-    return i * n - i * (i + 1) // 2 + (j - i - 1)
+    return _row_start(n, i) + (j - i - 1)
 
 
 def _is_integer(value) -> bool:
@@ -354,7 +354,10 @@ def _read_csv(path, skiprows: int) -> np.ndarray:
     with warnings.catch_warnings():
         # numpy warns of an input without data and returns an empty array
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        table = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2, skiprows=skiprows)
+        try:
+            table = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2, skiprows=skiprows)
+        except ValueError as exc:  # text that is not a numeric table
+            raise DivclustError(str(exc)) from None
     if table.size == 0:
         raise MatrixTooSmallError("input has no data rows")
     return table

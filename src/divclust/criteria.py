@@ -240,16 +240,14 @@ def _upper_pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
     return _kept_pairs(k) if k <= _KEPT_PAIRS else _pairs(k)
 
 
-@cache
-def _kept_pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
-    return _pairs(k)
-
-
 def _pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
     pairs = np.nonzero(_upper_block(k, 0, k))
     for index in pairs:
         index.setflags(write=False)
     return pairs
+
+
+_kept_pairs = cache(_pairs)
 
 
 _EPS = float(np.finfo(float).eps)

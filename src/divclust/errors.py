@@ -1,8 +1,10 @@
 """Exception types shared across the toolkit.
 
-Everything derives from :class:`DivclustError`, which itself derives from
-``ValueError`` so callers can treat any toolkit rejection as a plain input
-error. Index-range violations use the builtin ``IndexError`` instead.
+Every rejection of an input derives from :class:`DivclustError`, which
+itself derives from ``ValueError``. An object index out of range, which
+only a library caller can pass, raises the builtin ``IndexError`` instead.
+The command line exits 2 on a ``DivclustError`` or an ``OSError`` and 1 on
+any other exception, which it reports as an internal error.
 """
 
 

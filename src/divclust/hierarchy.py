@@ -337,25 +337,18 @@ def agglomerative_average_link(m: DissimilarityMatrix) -> Dendrogram:
     return Dendrogram._built(n, kids, levels, range(2 * n - 1))  # leaf i holds object i
 
 
-def _parse_algorithm(token: str) -> Splitter | None:
-    """The divisive splitter an algorithm token names; None for ``average-agglomerative``."""
-    if token == AVERAGE_AGGLOMERATIVE:
-        return None
-    try:
-        return parse_splitter(token)
-    except DivclustError:
-        raise DivclustError(f"unknown algorithm: {token!r}") from None
-
-
 def build_hierarchy(m: DissimilarityMatrix, algorithm: str) -> Dendrogram:
     """Build a hierarchy from an algorithm token.
 
     Tokens: ``two-seeds:<criterion>``, ``macnaughton-smith``, ``pddp`` or
     ``average-agglomerative``.
     """
-    splitter = _parse_algorithm(algorithm)
-    if splitter is None:
+    if algorithm == AVERAGE_AGGLOMERATIVE:
         return agglomerative_average_link(m)
+    try:
+        splitter = parse_splitter(algorithm)
+    except DivclustError:
+        raise DivclustError(f"unknown algorithm: {algorithm!r}") from None
     return divisive_hierarchy(m, splitter)
 
 
@@ -442,7 +435,7 @@ def tree_from_json(text: str) -> Dendrogram:
     """Parse and re-validate a serialized dendrogram, members included."""
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a syntax error, or an int of more digits than Python converts
         raise DivclustError(f"malformed tree JSON: {exc}") from None
     except RecursionError:
         raise DivclustError("malformed tree JSON: nested too deeply") from None

@@ -438,8 +438,6 @@ def _pcoa_axis(sub: np.ndarray) -> PcoaAxis:
     scale = 0.0  # the largest entry of the projection so far, at most its norm
     for m in range(k):
         w = gram @ basis[m]
-        if m == 0 and not w.any():
-            raise NoPositiveEigenvalueError("cluster has no positive spread")
         q = basis[: m + 1]
         coef = q @ w
         w -= coef @ q

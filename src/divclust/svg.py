@@ -17,24 +17,20 @@ _LABEL_GAP = 16.0
 
 def dendrogram_svg(tree: Dendrogram) -> str:
     """Render a dendrogram as a standalone SVG document."""
-    kids, levels = tree.children.tolist(), tree.levels.tolist()
-    leaf_order = [nid for nid in tree.preorder if kids[nid][0] < 0]
-    leaf_x = {nid: _MARGIN + rank * _LEAF_SPACING for rank, nid in enumerate(leaf_order)}
-
+    kids, levels, start = tree.children.tolist(), tree.levels.tolist(), tree.start.tolist()
     top = levels[tree.preorder[0]]
     scale = _PLOT_HEIGHT / top if top > 0.0 else 0.0
 
     def y_of(level: float) -> float:
         return _MARGIN + (top - level) * scale
 
-    # junctions sit midway between their children; reversed preorder places
-    # every child before its parent
-    x_of: dict[int, float] = dict(leaf_x)
+    # a leaf sits at its rank in the leaf order, a junction midway between
+    # its children; reversed preorder places every child before its parent
+    x_of = [0.0] * len(kids)
     for nid in reversed(tree.preorder):
         ca, cb = kids[nid]
-        if ca >= 0:
-            x_of[nid] = (x_of[ca] + x_of[cb]) / 2.0
-    width = 2 * _MARGIN + (len(leaf_order) - 1) * _LEAF_SPACING
+        x_of[nid] = _MARGIN + start[nid] * _LEAF_SPACING if ca < 0 else (x_of[ca] + x_of[cb]) / 2.0
+    width = 2 * _MARGIN + (tree.n - 1) * _LEAF_SPACING
     height = _MARGIN + _PLOT_HEIGHT + _LABEL_GAP + _MARGIN
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" height="{height:.0f}" '
@@ -54,9 +50,9 @@ def dendrogram_svg(tree: Dendrogram) -> str:
     parts.append("</g>")
     parts.append('<g font-family="sans-serif" font-size="11" text-anchor="middle" fill="#222">')
     baseline = _MARGIN + _PLOT_HEIGHT + _LABEL_GAP
-    # the leaves in preorder hold the objects in leaf order
-    for nid, obj in zip(leaf_order, tree.order.tolist()):
-        parts.append(f'<text x="{leaf_x[nid]:.2f}" y="{baseline:.2f}">o{obj + 1}</text>')
+    for rank, obj in enumerate(tree.order.tolist()):
+        x = _MARGIN + rank * _LEAF_SPACING
+        parts.append(f'<text x="{x:.2f}" y="{baseline:.2f}">o{obj + 1}</text>')
     parts.append("</g>")
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

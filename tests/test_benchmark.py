@@ -72,8 +72,7 @@ def test_config_defaults_match_the_reference_setup():
     config = dc.ExperimentConfig()
     assert (config.dataset_count, config.objects, config.variables) == (100, 40, 10)
     assert config.master_seed == 0
-    assert config.algorithms == dc.DEFAULT_ALGORITHMS
-    assert len(config.algorithms) == 11
+    assert len(dc.DEFAULT_ALGORITHMS) == 11
     config.validate()
 
 
@@ -83,9 +82,6 @@ def test_config_defaults_match_the_reference_setup():
         dict(dataset_count=0),
         dict(objects=2),
         dict(variables=0),
-        dict(algorithms=()),
-        dict(algorithms=("pddp", "pddp")),
-        dict(algorithms=("two-seeds:average", "bogus")),
         dict(thread_count=0),
         dict(thread_count=-2),
         dict(thread_count="many"),
@@ -95,7 +91,6 @@ def test_config_defaults_match_the_reference_setup():
         dict(objects=5.5),
         dict(variables=2.0),
         dict(master_seed=1.5),
-        dict(algorithms=("pddp", 5)),
     ],
 )
 def test_config_validation_rejects(kwargs):
@@ -145,7 +140,7 @@ def test_run_experiment_clamps_workers_and_hands_out_one_dataset_per_task(
 ):
     monkeypatch.setattr(benchmark, "_usable_cores", lambda: 3)
     config = dc.ExperimentConfig(
-        dataset_count=datasets, objects=6, variables=2, algorithms=("pddp",), thread_count=threads
+        dataset_count=datasets, objects=6, variables=2, thread_count=threads
     )
     assert len(dc.run_experiment(config).cells) == datasets
     (pool,) = pools
@@ -155,9 +150,7 @@ def test_run_experiment_clamps_workers_and_hands_out_one_dataset_per_task(
 
 def test_run_experiment_runs_inline_on_one_usable_core(monkeypatch, pools):
     monkeypatch.setattr(benchmark, "_usable_cores", lambda: 1)
-    config = dc.ExperimentConfig(
-        dataset_count=3, objects=6, variables=2, algorithms=("pddp",), thread_count=8
-    )
+    config = dc.ExperimentConfig(dataset_count=3, objects=6, variables=2, thread_count=8)
     assert len(dc.run_experiment(config).cells) == 3
     assert pools == []
 
@@ -167,11 +160,20 @@ def test_importing_the_cli_leaves_the_process_pool_unloaded():
     assert run_python(probe) == "False\n"
 
 
-def test_dataset_row_records_failed_cells_as_missing():
-    row = _dataset_row((0, 0, 8, 2, ("two-seeds:average", "bogus")))
-    assert len(row) == 2
-    assert -1.0 <= row[0] <= 1.0
-    assert row[1] is None
+def test_dataset_row_records_failed_cells_as_missing(monkeypatch):
+    build = benchmark.build_hierarchy
+
+    def failing_pddp(m, token):
+        if token == "pddp":
+            raise dc.DivclustError("no split")
+        return build(m, token)
+
+    monkeypatch.setattr(benchmark, "build_hierarchy", failing_pddp)
+    row = _dataset_row((0, 0, 8, 2))
+    missing = dc.DEFAULT_ALGORITHMS.index("pddp")
+    assert len(row) == 11
+    assert [j for j, cell in enumerate(row) if cell is None] == [missing]
+    assert all(-1.0 <= cell <= 1.0 for j, cell in enumerate(row) if j != missing)
 
 
 def test_run_experiment_grid_shape_and_range():

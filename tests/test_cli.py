@@ -325,6 +325,35 @@ def test_plot_single_merge_tree(tmp_path):
     assert len(root.findall(f".//{ns}text")) == 2
 
 
+def test_plot_writes_the_exact_svg_of_an_unbalanced_tree(tmp_path):
+    # points 3, 10, 0, 1: o2 splits off at 10, then o1 at 3, then o3 | o4 at 1,
+    # so the leaf order o1 o3 o4 o2 is neither object nor node-id order.
+    # Leaves sit 44 apart from x = 40; a junction is midway between its
+    # children; y = 40 + (10 - level) * 320 / 10.
+    data = tmp_path / "points.csv"
+    data.write_text("3\n10\n0\n1\n")
+    tree, out = tmp_path / "tree.json", tmp_path / "tree.svg"
+    args = ["cluster", str(data), "--format", "data", "--algo", "two-seeds:average"]
+    assert cli.main([*args, "--out", str(tree)]) == 0
+    assert cli.main(["plot", "--tree", str(tree), "--out", str(out)]) == 0
+    assert out.read_text() == (
+        '<svg xmlns="http://www.w3.org/2000/svg" width="212" height="416" '
+        'viewBox="0 0 212 416">\n'
+        '<g fill="none" stroke="#222" stroke-width="1.5">\n'
+        '<path d="M 73.00 264.00 V 40.00 H 172.00 V 360.00"/>\n'
+        '<path d="M 40.00 360.00 V 264.00 H 106.00 V 328.00"/>\n'
+        '<path d="M 84.00 360.00 V 328.00 H 128.00 V 360.00"/>\n'
+        '</g>\n'
+        '<g font-family="sans-serif" font-size="11" text-anchor="middle" fill="#222">\n'
+        '<text x="40.00" y="376.00">o1</text>\n'
+        '<text x="84.00" y="376.00">o3</text>\n'
+        '<text x="128.00" y="376.00">o4</text>\n'
+        '<text x="172.00" y="376.00">o2</text>\n'
+        '</g>\n'
+        '</svg>\n'
+    )
+
+
 def test_plot_rejects_bad_tree(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("[[[")
@@ -337,6 +366,7 @@ def test_plot_rejects_bad_tree(tmp_path, capsys):
     pytest.param("[" * 100_000, id="nested-100000-deep"),
     pytest.param('{"n": 2, "nodes": [{"id": 0, "members": [0, 1], "level": 1%s}]}' % ("0" * 400),
                  id="level-of-401-digits"),
+    pytest.param('{"n": 1%s, "nodes": []}' % ("0" * 5000), id="n-of-5001-digits"),
 ])
 def test_plot_and_eval_exit_2_on_tree_json_python_cannot_hold(tmp_path, dist_csv, capsys, text):
     bad = tmp_path / "bad.json"
@@ -388,6 +418,36 @@ def test_unexpected_failure_exits_with_1(tree_json, tmp_path, capsys, monkeypatc
     rc = cli.main(["plot", "--tree", str(tree_json), "--out", str(tmp_path / "x.svg")])
     assert rc == 1
     assert capsys.readouterr().err == "internal error: wires crossed\n"
+
+
+@pytest.mark.parametrize("fault", [IndexError("list index out of range"),
+                                   ValueError("math domain error")], ids=lambda e: type(e).__name__)
+def test_a_fault_inside_a_writer_is_an_internal_error(tree_json, tmp_path, capsys, monkeypatch,
+                                                      fault):
+    # an IndexError or a ValueError raised by the program's own code is a
+    # fault, not bad input: only DivclustError and OSError exit 2
+    def broken_svg(tree):
+        raise fault
+
+    monkeypatch.setattr(cli, "dendrogram_svg", broken_svg)
+    rc = cli.main(["plot", "--tree", str(tree_json), "--out", str(tmp_path / "x.svg")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"internal error: {fault}\n"
+
+
+@pytest.mark.parametrize("command", ["plot", "eval", "cluster"])
+def test_an_input_file_that_is_not_utf8_exits_2(tmp_path, dist_csv, capsys, command):
+    tree, table = tmp_path / "latin1.json", tmp_path / "latin1.csv"
+    tree.write_bytes('{"n": 1, "nodes": [], "note": "caf\u00e9"}'.encode("latin-1"))
+    table.write_bytes("0,1\n1,0\u00e9\n".encode("latin-1"))
+    argv = {
+        "plot": ["plot", "--tree", str(tree), "--out", str(tmp_path / "x.svg")],
+        "eval": ["eval", "--tree", str(tree), "--input", str(dist_csv)],
+        "cluster": ["cluster", str(table), "--algo", "pddp", "--out", str(tmp_path / "t.json")],
+    }
+    assert cli.main(argv[command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: 'utf-8' codec can't decode") and err.count("\n") == 1
 
 
 def test_caterpillar_deeper_than_the_recursion_limit(tmp_path):
