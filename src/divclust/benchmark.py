@@ -54,6 +54,8 @@ def generate_dataset(master_seed: int, index: int, objects: int, variables: int)
             raise InvalidConfigError(f"{name} must be an integer")
     if index < 0:
         raise InvalidConfigError("dataset index must be nonnegative")
+    if objects < 0 or variables < 0:
+        raise InvalidConfigError("objects and variables must be nonnegative")
     rng = np.random.Generator(np.random.PCG64(_mix64(int(master_seed), int(index))))
     return rng.random((objects, variables))
 

@@ -74,6 +74,8 @@ def pair_index(n: int, i: int, j: int) -> int:
 
     Pairs are laid out row-major: (0,1), (0,2), ..., (0,n-1), (1,2), ...
     """
+    _check_index(i)
+    _check_index(j)
     if not (0 <= i < n and 0 <= j < n):
         raise IndexError(f"object index out of range for n={n}")
     if i == j:
@@ -88,13 +90,18 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _check_index(value) -> None:
+    """Reject an object index that is not an integer; its range is the caller's to check."""
+    if not _is_integer(value):
+        raise DivclustError(f"object index must be an integer, got {value!r}")
+
+
 def object_set(members: Iterable[int]) -> tuple[int, ...]:
     """Canonical object set: ascending, duplicate-free, non-empty int tuple."""
     members = list(members)
     # one member of each type decides for every member of that type
     for m in {type(m): m for m in members}.values():
-        if not _is_integer(m):
-            raise DivclustError(f"object index must be an integer, got {m!r}")
+        _check_index(m)
     ms = tuple(sorted(map(int, members)))
     if not ms:
         raise DivclustError("object set is empty")
@@ -142,6 +149,8 @@ class DissimilarityMatrix:
 
     def value(self, i: int, j: int) -> float:
         """d(i, j); zero on the diagonal."""
+        _check_index(i)
+        _check_index(j)
         if i == j and 0 <= i < self.n:
             return 0.0
         return float(self._values[pair_index(self.n, i, j)])

@@ -19,7 +19,14 @@ from functools import cache
 
 import numpy as np
 
-from .core import Bipartition, DissimilarityMatrix, _check_range, _into_window, _upper_block
+from .core import (
+    Bipartition,
+    DissimilarityMatrix,
+    _check_index,
+    _check_range,
+    _into_window,
+    _upper_block,
+)
 from .errors import DivclustError, ObjectNotInBipartitionError
 
 
@@ -322,6 +329,7 @@ def score_bipartition(criterion: Criterion, m: DissimilarityMatrix, b: Bipartiti
 
 def silhouette_of_object(m: DissimilarityMatrix, b: Bipartition, x: int) -> float:
     """Silhouette width of one object under bipartition ``b``."""
+    _check_index(x)
     union = b.members
     if x not in union:
         raise ObjectNotInBipartitionError(f"object {x} is on neither side")

@@ -18,14 +18,10 @@ from operator import itemgetter
 import numpy as np
 
 from .core import DissimilarityMatrix, _into_window, _is_integer, _unpack, condensed_size
-from .errors import DivclustError, NoPositiveEigenvalueError
+from .errors import DivclustError
 from .splitters import Splitter, _Carried, parse_splitter, split_mask
 
 AVERAGE_AGGLOMERATIVE = "average-agglomerative"
-# Splits the clusters that leave the principal-axis splitter no positive eigenvalue.
-_PDDP_FALLBACK = parse_splitter("two-seeds:average")
-# The one bipartition of a 2-member cluster, as every splitter returns it.
-_PAIR_MASK = np.array([True, False])
 
 
 @dataclass(frozen=True)
@@ -219,12 +215,10 @@ def divisive_hierarchy(m: DissimilarityMatrix, splitter: Splitter) -> Dendrogram
     """Top-down hierarchy: split every non-singleton cluster, FIFO order.
 
     Node ids follow creation order with the root at 0; each split appends
-    the canonical-left child first. A 2-member cluster has one bipartition
-    and splits without a table. Every larger cluster is split by
+    the canonical-left child first. Every cluster is split by
     ``splitters.split_mask`` at its positions in ``m.square()``, with the
-    row totals its parent's split carried to it, if any. If a degenerate
-    cluster leaves the principal-axis splitter without a positive
-    eigenvalue, that cluster falls back to the two-seeds average split.
+    row totals its parent's split carried to it, if any, so it splits as
+    ``split_cluster`` splits it alone.
 
     Levels are set bottom-up after the splits: a node's level is the larger
     of its children's levels and the max of the block between them, gathered
@@ -241,13 +235,7 @@ def divisive_hierarchy(m: DissimilarityMatrix, splitter: Splitter) -> Dendrogram
     while queue:
         nid, carried = queue.popleft()
         idx = members_of[nid]
-        if idx.size == 2:
-            mask, carry = _PAIR_MASK, None
-        else:
-            try:
-                mask, carry = split_mask(square, idx, splitter, carried)
-            except NoPositiveEigenvalueError:
-                mask, carry = split_mask(square, idx, _PDDP_FALLBACK)
+        mask, carry = split_mask(square, idx, splitter, carried)
         for side in (mask, ~mask):
             pos = np.flatnonzero(side)
             members_of.append(idx[pos])
@@ -316,7 +304,8 @@ def agglomerative_average_link(m: DissimilarityMatrix) -> Dendrogram:
         p = int(best.argmin())  # with q, the row-major first minimum: the tie rule
         q = int(nn[p])
         first, second = node_ids[p], node_ids[q]
-        levels.append(max(float(np.ldexp(best[p], shift)), levels[first], levels[second]))
+        # children first, as the divisive rule: a -0.0 mean ties them and levels at +0.0
+        levels.append(max(levels[first], levels[second], float(np.ldexp(best[p], shift))))
         kids.append((first, second))
         node_ids[p] = len(kids) - 1
         cross[p, :] += cross[q, :]

@@ -490,7 +490,7 @@ def pddp_split(m: DissimilarityMatrix, members) -> Bipartition:
     silhouette mean a(x) to the rest of its side exceeds its mean b(x) to the
     other side, until nothing moves or for Card(C) passes, comparing the means
     as computed in floating point, where exact ties may read either way.
-    Propagates NoPositiveEigenvalueError for degenerate clusters.
+    A cluster with no positive eigenvalue, as an all-tied one, splits by two-seeds average.
     """
     return split_cluster(m, members, Splitter(PDDP))
 
@@ -542,20 +542,28 @@ def split_mask(
     k-by-k table only where those bounds cannot decide (``_carried_seed``).
     The other splitters split the gathered table. Each decides on the table
     brought into the magnitude window, which is exact, so it decides alike
-    at every scale.
+    at every scale. It decides every split, alone or in a build: a pair by
+    its one bipartition, with no table, and a cluster that leaves the
+    principal axis no positive eigenvalue by two-seeds average on its table.
     """
+    if idx.size == 2:
+        return np.array([True, False]), None
     carry = None
     if splitter.kind == MACNAUGHTON_SMITH:
         mask, carry = _macnaughton_smith_mask(square, idx, carried)
     elif splitter.kind == TWO_SEEDS:
         mask = _two_seeds_mask(_into_window(_gather(square, idx))[0], splitter.criterion)
     else:
-        mask = _pddp_mask(_into_window(_gather(square, idx))[0])
+        sub = _into_window(_gather(square, idx))[0]
+        try:
+            mask = _pddp_mask(sub)
+        except NoPositiveEigenvalueError:
+            mask = _two_seeds_mask(sub, Criterion.AVERAGE_LINK)
     return (mask if mask[0] else ~mask), carry
 
 
 def split_cluster(m: DissimilarityMatrix, members, splitter: Splitter) -> Bipartition:
-    """Apply one splitter to one cluster."""
+    """Apply one splitter to one cluster, as a build splits it (see :func:`split_mask`)."""
     idx = _cluster_positions(m, members)
     mask = split_mask(m.square(), idx, splitter)[0]
     return Bipartition(tuple(idx[mask].tolist()), tuple(idx[~mask].tolist()))

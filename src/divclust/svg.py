@@ -7,6 +7,7 @@ branch crosses another.
 
 from __future__ import annotations
 
+from .core import _into_window
 from .hierarchy import Dendrogram
 
 _LEAF_SPACING = 44.0
@@ -17,7 +18,10 @@ _LABEL_GAP = 16.0
 
 def dendrogram_svg(tree: Dendrogram) -> str:
     """Render a dendrogram as a standalone SVG document."""
-    kids, levels, start = tree.children.tolist(), tree.levels.tolist(), tree.start.tolist()
+    kids, start = tree.children.tolist(), tree.start.tolist()
+    # the drawing reads only level ratios, which an exact power-of-two scale
+    # keeps; unscaled, a root level below about 1.8e-306 overflows the scale
+    levels = _into_window(tree.levels)[0].tolist()
     top = levels[tree.preorder[0]]
     scale = _PLOT_HEIGHT / top if top > 0.0 else 0.0
 

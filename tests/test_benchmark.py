@@ -41,6 +41,12 @@ def test_generate_dataset_rejects_negative_index():
         dc.generate_dataset(0, -1, 4, 2)
 
 
+@pytest.mark.parametrize("objects, variables", [(-1, 3), (4, -2), (-1, -1)])
+def test_generate_dataset_rejects_a_negative_size(objects, variables):
+    with pytest.raises(dc.InvalidConfigError, match="^objects and variables must be nonnegative$"):
+        dc.generate_dataset(0, 0, objects, variables)
+
+
 @pytest.mark.parametrize(
     "args, name",
     [

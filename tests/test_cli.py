@@ -354,6 +354,17 @@ def test_plot_writes_the_exact_svg_of_an_unbalanced_tree(tmp_path):
     )
 
 
+def test_svg_is_the_same_at_every_power_of_two_scale():
+    # the drawing reads only level ratios: levels near the subnormal range,
+    # where 320 / top overflows, draw the same as levels near 1
+    # distances are multiples of 2^-3 up to 1.25, so every scale below is exact
+    m = dc.euclidean_from_data(np.array([[3.0], [10.0], [0.0], [1.0]]) / 8.0)
+    want = dc.dendrogram_svg(dc.build_hierarchy(m, "two-seeds:average"))
+    for e in range(-1071, 1022):
+        scaled = dc.DissimilarityMatrix(m.n, np.ldexp(m.condensed, e))
+        assert dc.dendrogram_svg(dc.build_hierarchy(scaled, "two-seeds:average")) == want, e
+
+
 def test_plot_rejects_bad_tree(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("[[[")

@@ -39,6 +39,27 @@ def test_pair_index_rejects_out_of_range_objects():
             dc.pair_index(3, i, j)
 
 
+def test_index_lookups_take_integers_only():
+    m, _ = random_matrix(5, 4)
+    b = dc.Bipartition((0, 1), (2, 3))
+    assert dc.pair_index(4, np.int64(1), 2) == 3
+    assert m.value(np.int32(2), 2) == 0.0
+    for call in (
+        lambda: dc.pair_index(3, 1.0, 2),
+        lambda: dc.pair_index(3, 0, True),
+        lambda: m.value(0.5, 2),
+        lambda: m.value(1.0, 1.0),
+        lambda: m.value(True, 2),
+        lambda: dc.silhouette_of_object(m, b, True),
+        lambda: dc.silhouette_of_object(m, b, 2.0),
+    ):
+        with pytest.raises(dc.DivclustError, match="^object index must be an integer"):
+            call()
+    # an integer out of range stays an IndexError
+    with pytest.raises(IndexError):
+        m.value(0, 4)
+
+
 def test_validate_matrix_small_example():
     m = dc.validate_matrix([[0.0, 1.0], [1.0, 0.0]])
     assert m.n == 2

@@ -128,25 +128,55 @@ def zero_block_matrix() -> dc.DissimilarityMatrix:
     return dc.validate_matrix(table + table.T)
 
 
+def assert_builds_split_as_split_cluster(m: dc.DissimilarityMatrix, token: str) -> dc.Dendrogram:
+    """Build ``m`` with ``token`` and check every internal node's children
+    against the split ``split_cluster`` makes of its members alone."""
+    splitter = dc.parse_splitter(token)
+    tree = dc.build_hierarchy(m, token)
+    for node in tree.nodes:
+        if node.children is not None:
+            split = dc.split_cluster(m, node.members, splitter)
+            assert (split.left, split.right) == tuple(tree.nodes[c].members for c in node.children)
+    return tree
+
+
 @pytest.mark.parametrize("token", [s.token for s in DIVISIVE_SPLITTERS])
 def test_divisive_levels_are_diameters(token):
-    splitter = dc.parse_splitter(token)
-    fallback = dc.parse_splitter("two-seeds:average")
     for m in (random_matrix(77, 9)[0], zero_block_matrix()):
         # the peel's children split from carried row totals
-        tree = dc.build_hierarchy(m, token)
+        tree = assert_builds_split_as_split_cluster(m, token)
         sq = m.square()
         for node in tree.nodes:
             ms = list(node.members)
             expected = float(sq[np.ix_(ms, ms)].max()) if len(ms) > 1 else 0.0
             assert node.level == expected
-            if node.children is None:
-                continue
-            try:
-                split = dc.split_cluster(m, node.members, splitter)
-            except dc.NoPositiveEigenvalueError:
-                split = dc.split_cluster(m, node.members, fallback)
-            assert (split.left, split.right) == tuple(tree.nodes[c].members for c in node.children)
+
+
+def zero_pair_and_block_values() -> tuple[int, list[float]]:
+    """Small integers with d(0, 1) = 0 and an all-zero block over objects 2-5."""
+    rng = np.random.default_rng(27)
+    table = np.triu(rng.integers(1, 4, (8, 8)), 1)
+    table[0, 1] = 0
+    table[2:6, 2:6] = 0
+    return 8, (table + table.T)[np.triu_indices(8, 1)].astype(float).tolist()
+
+
+def random_values(case: tuple[int, int]) -> tuple[int, list[float]]:
+    k, seed = case
+    return k, random_matrix(seed, k)[1]
+
+
+@pytest.mark.parametrize("token", [s.token for s in DIVISIVE_SPLITTERS])
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.one_of(
+    tie_heavy_matrices(max_k=12),
+    st.tuples(st.integers(2, 12), st.integers(0, 2**32 - 1)).map(random_values),
+))
+@example(zero_pair_and_block_values())
+def test_every_build_splits_each_node_as_split_cluster_does(token, case):
+    # pairs and clusters that leave the principal axis no positive
+    # eigenvalue included: one split_mask decides every split
+    assert_builds_split_as_split_cluster(dc.DissimilarityMatrix(*case), token)
 
 
 def test_macnaughton_smith_peels_a_caterpillar_into_a_chain():
@@ -184,6 +214,16 @@ def test_levels_of_negative_zero_entries_are_positive_zero(token):
     zero = next(node for node in tree.nodes if node.members == (0, 1, 2))
     assert [math.copysign(1.0, tree.nodes[i].level) for i in zero.children] == [1.0, 1.0]
     assert math.copysign(1.0, zero.level) == 1.0
+
+
+@pytest.mark.parametrize("token", dc.DEFAULT_ALGORITHMS)
+def test_no_algorithm_writes_a_negative_zero_level(token):
+    # a CSV's -0 entries: average link levels the pair by its children's +0.0
+    # first, as the divisive rule does
+    square = np.array([[0.0, -0.0, 1.0], [-0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+    tree = dc.build_hierarchy(dc.validate_matrix(square), token)
+    assert "-0.0" not in dc.tree_to_json(tree)
+    assert ":-0" not in dc.to_newick(tree)
 
 
 def caterpillar_matrix(n: int) -> dc.DissimilarityMatrix:

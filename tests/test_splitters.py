@@ -517,9 +517,11 @@ def test_pddp_line4(line4):
     assert b == dc.Bipartition((0, 1), (2, 3))
 
 
-def test_pddp_propagates_degeneracy():
-    with pytest.raises(dc.NoPositiveEigenvalueError):
-        dc.pddp_split(ALL_ZERO_3, range(3))
+def test_pddp_splits_a_degenerate_cluster_by_two_seeds_average():
+    # the axis has no positive eigenvalue, as in a build
+    want = dc.split_cluster(ALL_ZERO_3, range(3), dc.parse_splitter("two-seeds:average"))
+    assert want == dc.Bipartition((0, 2), (1,))
+    assert dc.pddp_split(ALL_ZERO_3, range(3)) == want
 
 
 def test_pddp_refinement_moves_a_misplaced_object():

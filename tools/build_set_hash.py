@@ -70,7 +70,7 @@ from divclust import (
     tree_to_json,
     validate_matrix,
 )
-from divclust import hierarchy
+from divclust import splitters
 from divclust.criteria import CandidateScreen
 from divclust.errors import NoPositiveEigenvalueError
 
@@ -166,16 +166,16 @@ def count_screen_calls(name: str) -> Counter:
 def count_pddp_fallbacks() -> Counter:
     """Count every PDDP split that falls back to two-seeds from now on."""
     calls = Counter()
-    split_mask = hierarchy.split_mask
+    pddp_mask = splitters._pddp_mask
 
-    def counted(square, idx, splitter, carried=None):
+    def counted(sub):
         try:
-            return split_mask(square, idx, splitter, carried)
+            return pddp_mask(sub)
         except NoPositiveEigenvalueError:
             calls["pddp"] += 1
             raise
 
-    hierarchy.split_mask = counted
+    splitters._pddp_mask = counted
     return calls
 
 
