@@ -33,6 +33,7 @@ DIAGONAL_ATOL = 1e-12
 
 def condensed_size(n: int) -> int:
     """Number of unordered object pairs for ``n`` objects."""
+    n = _object_count(n)
     return n * (n - 1) // 2
 
 
@@ -74,6 +75,7 @@ def pair_index(n: int, i: int, j: int) -> int:
 
     Pairs are laid out row-major: (0,1), (0,2), ..., (0,n-1), (1,2), ...
     """
+    n = _object_count(n)
     _check_index(i)
     _check_index(j)
     if not (0 <= i < n and 0 <= j < n):
@@ -88,6 +90,13 @@ def pair_index(n: int, i: int, j: int) -> int:
 def _is_integer(value) -> bool:
     """Whether ``value`` is a Python or numpy integer; ``bool`` is not."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _object_count(n) -> int:
+    """``n`` as an int; an object count that is not an integer is an input error."""
+    if not _is_integer(n):
+        raise DivclustError(f"object count must be an integer, got {n!r}")
+    return int(n)
 
 
 def _check_index(value) -> None:
@@ -123,12 +132,24 @@ class DissimilarityMatrix:
     __slots__ = ("n", "_values", "_square")
 
     def __init__(self, n: int, condensed: np.ndarray | Sequence[float]):
-        if not _is_integer(n):
-            raise DivclustError(f"object count must be an integer, got {n!r}")
-        n = int(n)
+        n = _object_count(n)
         if n < 2:
             raise MatrixTooSmallError("a dissimilarity matrix needs at least 2 objects")
-        values = np.array(condensed, dtype=float).reshape(-1)
+        self._hold(n, np.array(condensed, dtype=float).reshape(-1))
+
+    @classmethod
+    def _owning(cls, n: int, values: np.ndarray) -> DissimilarityMatrix:
+        """A matrix over ``values``, a fresh 1-D float array no caller keeps, without a copy.
+
+        The package's own readers and ``cophenetic`` hand over the packed
+        values they formed; ``n`` is an int of at least 2.
+        """
+        m = cls.__new__(cls)
+        m._hold(n, values)
+        return m
+
+    def _hold(self, n: int, values: np.ndarray) -> None:
+        """Check the packed ``values`` for ``n`` objects and keep them, read-only."""
         if values.shape[0] != condensed_size(n):
             raise DivclustError(
                 f"expected {condensed_size(n)} packed values for n={n}, got {values.shape[0]}"
@@ -173,8 +194,8 @@ def validate_matrix(raw: np.ndarray | Sequence[Sequence[float]]) -> Dissimilarit
     Symmetry is accepted up to ``1e-9 * max(1, |raw[i, j]|)`` per entry and
     the two mirror entries are averaged before storage; diagonal entries may
     deviate from zero by at most ``1e-12`` in absolute value. The table is
-    read in blocks of rows, so beside it only the packed means, the matrix's
-    copy of them and one block's temporaries are held.
+    read in blocks of rows, so beside it only the packed means, which the
+    matrix keeps, and one block's temporaries are held.
     """
     arr = np.asarray(raw, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -207,7 +228,7 @@ def validate_matrix(raw: np.ndarray | Sequence[Sequence[float]]) -> Dissimilarit
         # a pair whose sum overflows is averaged from halves, which cannot
         big = np.isinf(mean)
         mean[big] = upper[big] / 2.0 + lower[big] / 2.0
-    return DissimilarityMatrix(n, means)
+    return DissimilarityMatrix._owning(n, means)
 
 
 def euclidean_from_data(data: np.ndarray | Sequence[Sequence[float]]) -> DissimilarityMatrix:
@@ -218,7 +239,7 @@ def euclidean_from_data(data: np.ndarray | Sequence[Sequence[float]]) -> Dissimi
     of its own largest absolute difference; every other distance is the
     plain one, bit for bit. Only distances that themselves exceed the float
     range are rejected. The pairs are formed in blocks of rows, so beside
-    the table only the distances, the matrix's copy of them and one block's
+    the table only the distances, which the matrix keeps, and one block's
     differences are held.
     """
     arr = np.asarray(data, dtype=float)
@@ -253,7 +274,7 @@ def euclidean_from_data(data: np.ndarray | Sequence[Sequence[float]]) -> Dissimi
             unit = diff / scale[:, None]
             with np.errstate(over="ignore"):
                 dist[redo] = np.where(halved, 2.0, 1.0) * scale * np.sqrt((unit * unit).sum(axis=1))
-    return DissimilarityMatrix(n, dists)
+    return DissimilarityMatrix._owning(n, dists)
 
 
 # A table whose max M lies outside this window is scaled by 2^-frexp(M), exact

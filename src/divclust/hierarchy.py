@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from collections import deque
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
@@ -77,12 +78,15 @@ class Dendrogram:
     def _lay_out(self, n: int, kids, levels, objects) -> None:
         """Check a tree's shape, levels and leaves, and lay it out in the same walk.
 
-        One root, every node reached once from it, leaves holding the objects
-        0..n-1, and levels finite, nonnegative, zero at the leaves and never
-        above the parent's. The one walk that checks a tree, built or loaded:
-        records get it after ``_check_records`` has checked their members.
-        It records each node's start in the leaf order as it reaches it.
+        At least 2 objects, one root, every node reached once from it, leaves
+        holding the objects 0..n-1, and levels finite, nonnegative, zero at
+        the leaves and never above the parent's. The one walk that checks a
+        tree, built or loaded: records get it after ``_check_records`` has
+        checked their members. It records each node's start in the leaf
+        order as it reaches it.
         """
+        if n < 2:
+            raise DivclustError("a dendrogram needs at least 2 objects")
         claimed = [c for pair in kids if pair is not None for c in pair]
         if not all(0 <= c < len(kids) for c in claimed):
             raise DivclustError("bad child ids")
@@ -367,7 +371,7 @@ def cophenetic(tree: Dendrogram) -> DissimilarityMatrix:
         table[row].take(position[i + 1:], out=cond[at:at + n - 1 - i], mode="clip")
         at += n - 1 - i
     del table
-    return DissimilarityMatrix(n, cond)
+    return DissimilarityMatrix._owning(n, cond)
 
 
 def tree_to_json(tree: Dendrogram) -> str:
@@ -376,22 +380,28 @@ def tree_to_json(tree: Dendrogram) -> str:
     Equal to ``json.dumps({"n": ..., "nodes": [...]}, indent=2)``, but each
     record is formatted directly: the indenting encoder is pure Python and
     works element by element. Each record's text is formatted once, into
-    one list of pieces that is joined once, so at its peak the writer holds
-    its text about twice: in the pieces and joined.
+    pieces that are joined once, so at its peak the writer holds its text
+    about twice: in the pieces and joined.
     """
+    return "".join(_json_pieces(tree))
+
+
+def _json_pieces(tree: Dendrogram) -> Iterator[str]:
+    """The tree's JSON text in pieces, in order: the one definition of the format."""
     names = [str(i) for i in range(tree.n)]  # every member is an index below n
-    pieces = [f'{{\n  "n": {tree.n},\n  "nodes": [']
+    yield f'{{\n  "n": {tree.n},\n  "nodes": ['
     nodes = zip(tree._member_lists(), tree.levels.tolist(), tree.children.tolist())
     for nid, (members, level, (first, second)) in enumerate(nodes):
+        yield f'{"," if nid else ""}\n    {{\n      "id": {nid},\n      "members": [\n        '
+        # an internal node's names are fetched in one itemgetter call, which
+        # for a leaf's one member would return the name itself, not a tuple
+        yield ",\n        ".join(itemgetter(*members)(names)) if first >= 0 else names[members[0]]
         # json writes a finite float as its repr
-        pieces += (f'{"," if nid else ""}\n    {{\n      "id": {nid},\n      "members": [\n        ',
-                   ",\n        ".join(map(names.__getitem__, members)),
-                   f'\n      ],\n      "level": {float(f"{level:.9g}")!r}')
+        yield f'\n      ],\n      "level": {float(f"{level:.9g}")!r}'
         if first >= 0:
-            pieces.append(f',\n      "children": [\n        {first},\n        {second}\n      ]')
-        pieces.append("\n    }")
-    pieces.append("\n  ]\n}")
-    return "".join(pieces)
+            yield f',\n      "children": [\n        {first},\n        {second}\n      ]'
+        yield "\n    }"
+    yield "\n  ]\n}"
 
 
 def _as_index(value, what: str) -> int:
@@ -421,7 +431,68 @@ _KNOWN_FIELDS = _REQUIRED_FIELDS | {"children"}
 
 
 def tree_from_json(text: str) -> Dendrogram:
-    """Parse and re-validate a serialized dendrogram, members included."""
+    """Parse and re-validate a serialized dendrogram, members included.
+
+    Text exactly as ``tree_to_json`` writes it, with at most one trailing
+    newline, is read by writing it back (see :func:`_read_own_text`); any
+    other text is parsed as JSON and checked record by record. Both ways
+    return the same tree for any text the first accepts.
+    """
+    tree = _read_own_text(text)
+    return tree if tree is not None else _parse_tree_json(text)
+
+
+# The writer's layout, read only as far as building needs: n, and each
+# record's first member, level and children. Whatever these skip or accept
+# too loosely, the text's compare with the written-back pieces rejects.
+_HEAD = re.compile(r'\{\n  "n": (\d+),\n  "nodes": \[')
+_RECORD = re.compile(
+    r',?\n    \{\n      "id": \d+,\n      "members": \[\n        (\d+)[^\]]*\],'
+    r'\n      "level": ([^,\n]+)(?:,\n      "children": \[\n        (\d+),\n        (\d+)\n      \])?'
+    r'\n    \}')
+
+
+def _read_own_text(text: str) -> Dendrogram | None:
+    """The tree whose ``tree_to_json`` text is ``text`` (one trailing newline allowed), else None.
+
+    The tree is built from each record's first member, level and children
+    with the walk that checks every tree, then written back piece by piece
+    against the text, so the member lists are never parsed. A text accepted
+    here is the writer's text for the tree returned, which the JSON path
+    would return too.
+    """
+    head = _HEAD.match(text)
+    if head is None:
+        return None
+    objects, levels, kids = [], [], []
+    try:
+        n = int(head[1])
+        # each record is matched where the last one ended, so no text is scanned twice
+        pos = head.end()
+        while record := _RECORD.match(text, pos):
+            first, level, left, right = record.groups()
+            objects.append(int(first))
+            levels.append(float(level))
+            kids.append((int(left), int(right)) if left else None)
+            pos = record.end()
+        tree = Dendrogram._built(n, kids, levels, objects)
+    except (ValueError, DivclustError):
+        return None
+    # each member takes at least 10 characters of the written text (its
+    # digits, and the separator or closing text after it), so a tree of
+    # more members than that cannot match, and is not written back
+    if 10 * int(tree.sizes.sum()) > len(text):
+        return None
+    pos = 0
+    for piece in _json_pieces(tree):
+        if not text.startswith(piece, pos):
+            return None
+        pos += len(piece)
+    return tree if text[pos:pos + 2] in ("", "\n") else None
+
+
+def _parse_tree_json(text: str) -> Dendrogram:
+    """Any tree JSON text's tree, parsed with ``json`` and checked record by record."""
     try:
         payload = json.loads(text)
     except ValueError as exc:  # a syntax error, or an int of more digits than Python converts

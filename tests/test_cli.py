@@ -123,6 +123,34 @@ def test_cluster_of_a_large_table_holds_one_table_at_a_time(tmp_path, algo):
     assert sorted(tree.levels.tolist()) == [0.0] * n + list(map(float, range(1, n)))
 
 
+def test_plot_and_eval_of_a_deep_tree_hold_little_beside_its_text(tmp_path, capsys):
+    n = 1100
+    rank = np.random.default_rng(n).permutation(n)
+    raw = np.maximum.outer(rank, rank)
+    np.fill_diagonal(raw, 0)
+    src, tree, svg = tmp_path / "caterpillar.csv", tmp_path / "t.json", tmp_path / "t.svg"
+    np.savetxt(src, raw, fmt="%d", delimiter=",")
+    del raw
+    assert cli.main(["cluster", str(src), "--algo", "average-agglomerative", "--out", str(tree)]) == 0
+    size = tree.stat().st_size  # 8.1 MB of ASCII text
+    peaks = {}
+    for argv in (["plot", "--tree", str(tree), "--out", str(svg)],
+                 ["eval", "--tree", str(tree), "--input", str(src), "--metrics", "cpcc"]):
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            peaks[argv[0]] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert capsys.readouterr().out == "cpcc,1.000000\n"
+    # the reader holds the text and writes it back piece by piece, where a
+    # parse held the text and its parsed records, about 2.4 times the text
+    assert peaks["plot"] < 2.5 * size
+    # eval reads the 9.7 MB table into packed values the matrix keeps without
+    # a copy, and peaks at CPCC, beside them and the cophenetic values
+    assert peaks["eval"] < 3.2 * size
+
+
 def test_cluster_from_data_csv(tmp_path):
     src = tmp_path / "points.csv"
     src.write_text(LINE4_DATA)

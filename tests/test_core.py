@@ -193,7 +193,7 @@ def test_euclidean_in_row_blocks_gives_the_all_pairs_bits(monkeypatch, rows, sca
 
 def test_euclidean_distances_of_a_large_table_hold_little_beside_them():
     pts = random_points(64, 1100, 10)
-    # the distances and the stored copy are 4.8 MB each; a block of 5 rows
+    # the distances, which the matrix keeps, are 4.8 MB; a block of 5 rows
     # holds at most 5 495 pairs, so its pair differences are 0.4 MB
     tracemalloc.start()
     try:
@@ -201,7 +201,7 @@ def test_euclidean_distances_of_a_large_table_hold_little_beside_them():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 12e6
+    assert peak < 7e6
     ii, jj = np.triu_indices(1100, 1)
     assert m.condensed.tobytes() == np.sqrt(((pts[ii] - pts[jj]) ** 2).sum(axis=1)).tobytes()
 
@@ -258,7 +258,7 @@ def test_validating_a_large_table_holds_little_beside_it():
     rank = np.random.default_rng(0).permutation(1100)
     raw = np.maximum.outer(rank, rank).astype(float)
     np.fill_diagonal(raw, 0.0)
-    # the packed means and the stored copy are 4.8 MB each; a block of 59
+    # the packed means, which the matrix keeps, are 4.8 MB; a block of 59
     # rows holds at most 2^16 entries, so each of its temporaries is 0.5 MB
     tracemalloc.start()
     try:
@@ -266,7 +266,7 @@ def test_validating_a_large_table_holds_little_beside_it():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 12e6
+    assert peak < 9e6
     assert np.array_equal(m.square(), raw)
 
 
@@ -463,6 +463,13 @@ def test_matrix_object_count_must_be_an_integer():
     for n, values in ((2.5, [1.0]), ("3", [1, 2, 3]), (3.0, [1, 2, 3]), (True, [])):
         with pytest.raises(dc.DivclustError, match="^object count must be an integer"):
             dc.DissimilarityMatrix(n, values)
+    # the public lookups check an object count as the constructor does
+    assert dc.condensed_size(np.int64(4)) == 6
+    assert dc.pair_index(np.int32(4), 1, 2) == 3
+    for call in (lambda: dc.condensed_size(4.0), lambda: dc.pair_index(3.5, 1, 2),
+                 lambda: dc.pair_index(True, 0, 1)):
+        with pytest.raises(dc.DivclustError, match="^object count must be an integer"):
+            call()
 
 
 def test_bipartition_canonical_orientation():

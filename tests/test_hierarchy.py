@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 import signal
 import tracemalloc
 from contextlib import contextmanager
@@ -540,6 +541,12 @@ def test_json_round_trip_is_lossless_and_idempotent(case, token):
         assert theirs.children == mine.children
         assert theirs.level == float(f"{mine.level:.9g}")
     assert dc.tree_to_json(back) == text
+    # the writer's text, with or without the CLI's newline, is read by
+    # writing it back, and the JSON path reads the same tree from it and
+    # from its compact form
+    assert hierarchy._read_own_text(text) == hierarchy._read_own_text(text + "\n") == back
+    assert hierarchy._parse_tree_json(text) == back
+    assert dc.tree_from_json(json.dumps(json.loads(text))) == back
 
 
 def test_json_shape(line4):
@@ -611,6 +618,70 @@ def test_json_accepts_shuffled_node_order():
     tree = dc.tree_from_json(json.dumps({"n": 2, "nodes": records}))
     assert tree.root.id == 0
     assert tree.root.level == 5.0
+
+
+# what one edit can put into a tree's text: its own characters, and a few others
+EDIT_CHARACTERS = st.sampled_from('0123456789.-+eE,:[]{}" \n\tabnrtuxIN')
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(tie_heavy_matrices(), st.sampled_from(dc.DEFAULT_ALGORITHMS), st.data())
+@example((4, [1.0, 10.0, 11.0, 9.0, 10.0, 1.0]), "two-seeds:average", None)
+def test_an_edited_text_is_read_as_the_json_path_reads_it_or_not_at_all(case, token, data):
+    k, values = case
+    text = dc.tree_to_json(dc.build_hierarchy(dc.DissimilarityMatrix(k, values), token)) + "\n"
+    if data is None:  # line4: the root's level, 11.0, edited to 12.0, still above its children's
+        edited = text.replace('"level": 11.0', '"level": 12.0')
+    else:
+        # anywhere, or in a level, where an edit can leave the writer's text of another tree
+        levels = [m.start(1) + i for m in re.finditer(r'"level": ([^,\n]+)', text) for i in range(len(m[1]))]
+        at = data.draw(st.one_of(st.integers(0, len(text)), st.sampled_from(levels)), label="at")
+        kind = data.draw(st.sampled_from(["replace", "insert", "delete"]), label="kind")
+        put = "" if kind == "delete" else data.draw(EDIT_CHARACTERS, label="put")
+        edited = text[:at] + put + text[at + (kind != "insert"):]
+    fast = hierarchy._read_own_text(edited)
+    if data is None:
+        assert fast is not None and fast.levels.max() == 12.0
+    if fast is not None:
+        assert fast == hierarchy._parse_tree_json(edited)
+        assert dc.tree_to_json(fast) in (edited, edited[:-1])
+
+
+def test_a_text_with_two_members_swapped_gets_the_json_path_message(line4):
+    text = dc.tree_to_json(dc.divisive_hierarchy(line4, dc.parse_splitter("two-seeds:average")))
+    # the root holds 0..3 and node 1 holds 0 and 1: members 0 and 1 swap in each
+    for nid, message in [(0, "ascending"), (1, "partition")]:
+        first = text.index("0", text.index('"members"', text.index(f'"id": {nid},')))
+        second = text.index("1", first)
+        swapped = text[:first] + "1" + text[first + 1:second] + "0" + text[second + 1:]
+        assert json.loads(swapped)  # still well-formed JSON
+        assert hierarchy._read_own_text(swapped) is None
+        with pytest.raises(dc.DivclustError, match=message):
+            dc.tree_from_json(swapped)
+
+
+def test_a_text_of_many_short_records_is_not_written_back(monkeypatch):
+    # a chain over 1000 objects in the writer's layout, but each record keeps
+    # only its first member: written back, its 501 499 members would take
+    # over 20 times the text, so the reader leaves it to the JSON path
+    n = 1000
+    kids = [None] * n + [(0, 1)] + [(n + obj - 2, obj) for obj in range(2, n)]
+    records = [
+        f'\n    {{\n      "id": {nid},\n      "members": [\n        {0 if pair else nid}\n      ],'
+        f'\n      "level": {float(pair is not None and nid - n + 1)!r}'
+        + ("" if pair is None else f',\n      "children": [\n        {pair[0]},\n        {pair[1]}\n      ]')
+        + "\n    }"
+        for nid, pair in enumerate(kids)
+    ]
+    text = f'{{\n  "n": {n},\n  "nodes": [' + ",".join(records) + "\n  ]\n}"
+
+    def refuse(tree):
+        raise AssertionError("wrote back a tree of more members than its text")
+
+    monkeypatch.setattr(hierarchy.Dendrogram, "_member_lists", refuse)
+    assert hierarchy._read_own_text(text) is None
+    with pytest.raises(dc.DivclustError, match="partition"):
+        dc.tree_from_json(text)
 
 
 BAD_JSON = [
@@ -733,6 +804,12 @@ def test_structural_check_of_built_trees_rejects_bad_arrays():
     ]:
         with pytest.raises(dc.DivclustError, match=message):
             hierarchy.Dendrogram._built(3, bad, levels, objects)
+    # one leaf alone is no dendrogram, built or read from the writer's text
+    with pytest.raises(dc.DivclustError, match="at least 2 objects"):
+        hierarchy.Dendrogram._built(1, [None], [0.0], [0])
+    one = '{\n  "n": 1,\n  "nodes": [\n    {\n      "id": 0,\n      "members": [\n        0\n      ],\n      "level": 0.0\n    }\n  ]\n}'
+    with pytest.raises(dc.DivclustError, match="at least 2 objects"):
+        dc.tree_from_json(one)
 
 
 def test_trees_never_change():

@@ -22,7 +22,9 @@ tables come from fixed seeds:
 A build that raises contributes its error's class name and message instead.
 Each tree's JSON text must also load back to the same text
 (``tree_to_json(tree_from_json(text)) == text``), so the run checks the
-loader on every build.
+loader on every build. The loader reads the writer's own text by writing
+it back; the run also parses each text as JSON, requires the same tree of
+every text read that way, and counts those reads.
 
 A sixth digest, ``cophenetic``, runs over every build of every family and
 takes each tree's cophenetic values as their exact float64 bytes, so a
@@ -70,7 +72,7 @@ from divclust import (
     tree_to_json,
     validate_matrix,
 )
-from divclust import splitters
+from divclust import hierarchy, splitters
 from divclust.criteria import CandidateScreen
 from divclust.errors import NoPositiveEigenvalueError
 
@@ -130,8 +132,12 @@ def families() -> dict[str, list[tuple[DissimilarityMatrix, tuple[str, ...]]]]:
     }
 
 
-def build_record(m: DissimilarityMatrix, token: str) -> tuple[bytes, bytes, bytes]:
-    """Every output of one build, as bytes, its exact cophenetic values and CPCC."""
+def build_record(m: DissimilarityMatrix, token: str, reads: Counter) -> tuple[bytes, bytes, bytes]:
+    """Every output of one build, as bytes, its exact cophenetic values and CPCC.
+
+    ``reads`` counts the trees whose JSON text was read, and those of them
+    read by writing the text back.
+    """
     try:
         tree = build_hierarchy(m, token)
         values = cophenetic(tree)
@@ -142,6 +148,11 @@ def build_record(m: DissimilarityMatrix, token: str) -> tuple[bytes, bytes, byte
     text = tree_to_json(tree)
     if tree_to_json(tree_from_json(text)) != text:
         raise SystemExit(f"{token}: tree JSON does not load back to the same text")
+    fast = hierarchy._read_own_text(text)
+    if fast is not None and fast != hierarchy._parse_tree_json(text):
+        raise SystemExit(f"{token}: tree JSON reads as two different trees")
+    reads["trees"] += 1
+    reads["fast"] += fast is not None
     parts = (text, to_newick(tree), dendrogram_svg(tree), f"{counts.s_plus} {counts.s_minus}")
     try:
         score = np.array(cpcc(m, values), dtype="<f8").tobytes()
@@ -193,6 +204,7 @@ def main() -> None:
     calls = count_screen_calls("exact")
     batches = count_screen_calls("score")
     fallbacks = count_pddp_fallbacks()
+    reads = Counter()
     family_batches = {}
     family_fallbacks = {}
     for family, tables in families().items():
@@ -201,7 +213,7 @@ def main() -> None:
         digest = hashlib.sha256()
         for index, (m, tokens) in enumerate(tables):
             for token in tokens:
-                record, values, score = build_record(m, token)
+                record, values, score = build_record(m, token, reads)
                 digest.update(f"{index} {token}\0".encode() + record + b"\0")
                 build = f"{family} {index} {token}\0".encode()
                 values_digest.update(build + values + b"\0")
@@ -219,6 +231,7 @@ def main() -> None:
     print(f"exact calls: {calls.total()} ({per_criterion})")
     print(f"screened batches: {batches.total()} ({per_family(family_batches)})")
     print(f"pddp fallbacks: {fallbacks.total()} ({per_family(family_fallbacks)})")
+    print(f"tree JSON fast reads: {reads['fast']} of {reads['trees']}")
 
 
 if __name__ == "__main__":
