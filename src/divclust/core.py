@@ -8,6 +8,7 @@ index ``0..n-1``; clusters are ascending tuples of those indices.
 
 from __future__ import annotations
 
+import os
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -42,11 +43,11 @@ def condensed_size(n: int) -> int:
 _BLOCK_ENTRIES = 1 << 16
 
 
-def _row_blocks(n: int, width: int = 1) -> Iterable[tuple[int, int]]:
-    """Row ranges [lo, hi) covering 0..n-1, of at least one row and at most _BLOCK_ENTRIES // (n * width)."""
-    step = max(1, _BLOCK_ENTRIES // (n * width))
-    for lo in range(0, n, step):
-        yield lo, min(lo + step, n)
+def _row_blocks(rows: int, width: int) -> Iterable[tuple[int, int]]:
+    """Row ranges [lo, hi) over ``rows`` rows of ``width`` entries: one row or more, at most _BLOCK_ENTRIES entries."""
+    step = max(1, _BLOCK_ENTRIES // width)
+    for lo in range(0, rows, step):
+        yield lo, min(lo + step, rows)
 
 
 def _row_start(n: int, i: int) -> int:
@@ -62,7 +63,7 @@ def _upper_block(n: int, lo: int, hi: int) -> np.ndarray:
 def _unpack(n: int, values: np.ndarray) -> np.ndarray:
     """The symmetric n-by-n table of packed ``values``, zero on the diagonal, writable."""
     table = np.zeros((n, n))
-    for lo, hi in _row_blocks(n):
+    for lo, hi in _row_blocks(n, n):
         mask = _upper_block(n, lo, hi)
         block = values[_row_start(n, lo):_row_start(n, hi)]
         table[lo:hi, lo:][mask] = block
@@ -210,7 +211,7 @@ def validate_matrix(raw: np.ndarray | Sequence[Sequence[float]]) -> Dissimilarit
     if (np.abs(diag) > DIAGONAL_ATOL).any():
         raise NonZeroDiagonalError("diagonal entries must be zero")
     means = np.empty(condensed_size(n))
-    for lo, hi in _row_blocks(n):
+    for lo, hi in _row_blocks(n, n):
         mask = _upper_block(n, lo, hi)
         upper = arr[lo:hi, lo:][mask]
         lower = arr[lo:, lo:hi].T[mask]
@@ -253,7 +254,7 @@ def euclidean_from_data(data: np.ndarray | Sequence[Sequence[float]]) -> Dissimi
         raise NonFiniteEntryError("data entries must be finite")
     n, width = arr.shape
     dists = np.empty(condensed_size(n))
-    for lo, hi in _row_blocks(n, width):
+    for lo, hi in _row_blocks(n, n * width):
         ii, jj = np.nonzero(_upper_block(n, lo, hi))
         ii += lo
         jj += lo
@@ -380,14 +381,43 @@ def read_data_csv(path, header: bool = False) -> np.ndarray:
 
 
 def _read_csv(path, skiprows: int) -> np.ndarray:
-    """A numeric CSV as a 2-D array; a file without data rows is an input error."""
+    """A numeric CSV as a 2-D float array; a file without data rows is an input error."""
     with warnings.catch_warnings():
         # numpy warns of an input without data and returns an empty array
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        try:
-            table = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2, skiprows=skiprows)
-        except ValueError as exc:  # text that is not a numeric table
-            raise DivclustError(str(exc)) from None
+        table = _integer_table(path, skiprows)
+        if table is None:
+            try:
+                table = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2, skiprows=skiprows)
+            except ValueError as exc:  # text that is not a numeric table
+                raise DivclustError(str(exc)) from None
     if table.size == 0:
         raise MatrixTooSmallError("input has no data rows")
+    return table
+
+
+def _integer_table(path, skiprows: int) -> np.ndarray | None:
+    """The CSV at ``path`` as floats if every field is an integer below 2^63 and no ``-`` appears; else None.
+
+    numpy parses integers faster than floats. Each integer below 2^63 in
+    magnitude casts to its nearest double, ties to even, as the float parser
+    rounds the same digits, so the table is bitwise the float parse. A file
+    with a ``-`` is left to that parse, which keeps the sign of ``-0``. The
+    cast is made in place, a block of rows at a time, so one table is held.
+    """
+    if not isinstance(path, (str, bytes, os.PathLike)):
+        return None  # a stream the first parse would use up
+    try:
+        ints = np.loadtxt(path, delimiter=",", dtype=np.int64, ndmin=2, skiprows=skiprows)
+    except ValueError:  # a field that is not an integer, or one of 2^63 or more
+        return None
+    if ints.size == 0:
+        return None
+    with open(path, "rb") as fh:
+        if b"-" in fh.read():
+            return None
+    table = ints.view(np.float64)
+    rows, width = ints.shape
+    for lo, hi in _row_blocks(rows, width):
+        table[lo:hi] = ints[lo:hi].astype(np.float64)
     return table

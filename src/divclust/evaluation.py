@@ -99,10 +99,25 @@ def _strict_inversions(ranks: np.ndarray) -> int:
     while 1 << level < size:
         side = (index >> level) & 1
         merged = np.sort((index >> (level + 1) << shift) | (run << 1) | side, kind="stable")
-        count += int(index @ side) - int(index @ (merged & 1))
+        count += _right_half_sum(size, level) - int(index @ (merged & 1))
         run = (merged & ((1 << shift) - 1)) >> 1
         level += 1
     return count
+
+
+def _right_half_sum(size: int, level: int) -> int:
+    """The sum of the positions below ``size`` whose bit ``level`` is set: each right block's positions.
+
+    With w = 2^level, each of the q whole pairs of blocks contributes its
+    right block, w positions from (2j + 1) w, so together w^2 q^2 +
+    q w (w - 1) / 2; a last part pair of r positions holds the first
+    r - w of its right block, if any, from (2q + 1) w.
+    """
+    width = 1 << level
+    pairs, rest = divmod(size, 2 * width)
+    tail = max(0, rest - width)
+    return (width * width * pairs * pairs + pairs * width * (width - 1) // 2
+            + tail * (2 * pairs + 1) * width + tail * (tail - 1) // 2)
 
 
 def goodman_kruskal(counts: ConcordanceCounts) -> float:

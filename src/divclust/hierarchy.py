@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from bisect import bisect_left
 from collections import deque
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
@@ -388,20 +389,91 @@ def tree_to_json(tree: Dendrogram) -> str:
 
 def _json_pieces(tree: Dendrogram) -> Iterator[str]:
     """The tree's JSON text in pieces, in order: the one definition of the format."""
-    names = [str(i) for i in range(tree.n)]  # every member is an index below n
     yield f'{{\n  "n": {tree.n},\n  "nodes": ['
-    nodes = zip(tree._member_lists(), tree.levels.tolist(), tree.children.tolist())
+    nodes = zip(_member_texts(tree), tree.levels.tolist(), tree.children.tolist())
     for nid, (members, level, (first, second)) in enumerate(nodes):
         yield f'{"," if nid else ""}\n    {{\n      "id": {nid},\n      "members": [\n        '
-        # an internal node's names are fetched in one itemgetter call, which
-        # for a leaf's one member would return the name itself, not a tuple
-        yield ",\n        ".join(itemgetter(*members)(names)) if first >= 0 else names[members[0]]
+        yield members  # the names, joined
         # json writes a finite float as its repr
         yield f'\n      ],\n      "level": {float(f"{level:.9g}")!r}'
         if first >= 0:
             yield f',\n      "children": [\n        {first},\n        {second}\n      ]'
         yield "\n    }"
     yield "\n  ]\n}"
+
+
+# The writer's text between two member names.
+_MEMBER_SEP = ",\n        "
+
+# A node's member text is spliced from its larger child's when the smaller
+# child holds at most 1/_SPLICE_RATIO as many members; otherwise both lists
+# are merged and every name joined again. On lists of 1 000 and 20 000 random
+# members, merging and joining took 30-65 ns a member, and a splice about
+# 10-15 ns a member of the larger list and 800 ns an inserted name: a splice
+# of a sixteenth took 1.1-1.4 times as long as the join, of a thirty-second
+# 0.8-1.0 times. A 1 000-point balanced tree's texts then take no longer than
+# with every node joined, and a caterpillar's half as long.
+_SPLICE_RATIO = 32
+
+
+def _member_texts(tree: Dendrogram) -> list[str]:
+    """Every node's members as the writer writes them, ascending, built from its children's.
+
+    Over the reversed preorder, each node takes its larger child's member
+    list and text, and splices the smaller child's members in (see
+    :func:`_splice`), or merges the two lists and joins every name when the
+    sides are near in size. A child's list is dropped once its parent has it.
+    """
+    names = [str(i) for i in range(tree.n)]  # every member is an index below n
+    kids, sizes = tree.children.tolist(), tree.sizes.tolist()
+    objects = tree.order[tree.start].tolist()  # a leaf's entry is its object
+    lists: list = [None] * len(kids)
+    texts: list = [None] * len(kids)
+    for nid in reversed(tree.preorder):
+        first, second = kids[nid]
+        if first < 0:
+            lists[nid], texts[nid] = [objects[nid]], names[objects[nid]]
+            continue
+        small, large = (first, second) if sizes[first] <= sizes[second] else (second, first)
+        members, inserts = lists[large], lists[small]
+        lists[first] = lists[second] = None
+        if sizes[small] * _SPLICE_RATIO > sizes[large]:
+            members = sorted(members + inserts)
+            texts[nid] = _MEMBER_SEP.join(itemgetter(*members)(names))
+        else:
+            texts[nid] = _splice(members, texts[large], inserts, names)
+        lists[nid] = members
+    return texts
+
+
+def _splice(members: list[int], text: str, inserts: list[int], names: list[str]) -> str:
+    """The text of ascending ``members`` with ascending ``inserts`` placed in; ``members`` takes them too.
+
+    ``text`` is the members' names joined by the writer's separator. Each
+    inserted name goes before the first member above it, whose name is found
+    in ``text`` from the previous cut; names above the last member go at the
+    end. The members' names are copied in slices, never one by one.
+    """
+    pieces: list[str] = []
+    at = cut = 0
+    for obj in inserts:
+        at = bisect_left(members, obj, at)
+        if at == len(members):
+            pieces += text[cut:], _MEMBER_SEP, names[obj]
+            cut = len(text)
+            continue
+        # names ascend, so no name before this one holds its digits: the
+        # first match from a name's start is the name itself
+        found = text.find(names[members[at]], cut)
+        pieces += text[cut:found], names[obj], _MEMBER_SEP
+        cut = found
+    pieces.append(text[cut:])
+    # the sort merges the two ascending runs in place: a new list grown from
+    # slices at every node left 4-6 MB more heap resident after a
+    # caterpillar's write, and raised the benchmark's peak RSS
+    members += inserts
+    members.sort()
+    return "".join(pieces)
 
 
 def _as_index(value, what: str) -> int:

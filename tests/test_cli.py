@@ -213,6 +213,26 @@ def test_cluster_rejects_input_without_data_rows(tmp_path, content, extra, capsy
     assert capsys.readouterr().err == "error: input has no data rows\n"
 
 
+@pytest.mark.parametrize("content, extra, message", [
+    ("", ["--format", "data"], "input has no data rows"),
+    ("# only a comment\n", [], "input has no data rows"),
+    ("0\n", [], "a dissimilarity matrix needs at least 2 objects"),
+    ("1,2\n", [], "expected a square matrix, got shape (1, 2)"),
+    ("1,2\n", ["--format", "data"], "a data table needs at least 2 objects"),
+    ("x,y\n1,2\n", ["--format", "data", "--header"], "a data table needs at least 2 objects"),
+], ids=["empty-data-csv", "comments-only", "one-entry", "one-row-distance-csv", "one-row-data-csv",
+        "data-csv-header-and-one-row"])
+def test_inputs_of_one_row_or_none_exit_2_with_one_message(tmp_path, content, extra, message, capsys):
+    # whichever parser reads them, integer or float, and also where warnings are errors
+    src = tmp_path / "small.csv"
+    src.write_text(content)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["cluster", str(src), *extra, "--algo", "pddp", "--out", str(tmp_path / "t.json")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_cluster_missing_input_file(tmp_path, capsys):
     rc = cli.main(
         ["cluster", str(tmp_path / "nope.csv"), "--algo", "pddp", "--out", str(tmp_path / "t")]

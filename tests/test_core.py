@@ -1,7 +1,13 @@
+import io
+import tempfile
 import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import divclust as dc
 import divclust.core as core
@@ -504,3 +510,132 @@ def test_read_data_csv_with_and_without_header(tmp_path):
     arr = dc.read_data_csv(headed, header=True)
     assert arr.shape == (2, 2)
     assert arr[1, 1] == 4.0
+
+
+
+def read_outcome(read, path):
+    """What ``read(path)`` gives: its packed values' bytes, or its error's type and message."""
+    try:
+        return read(path).condensed.tobytes()
+    except dc.DivclustError as exc:
+        return type(exc), str(exc)
+
+
+def float_parse(read):
+    """``read`` with the float parser alone, as every table was parsed before the integer route."""
+    def reading(path):
+        with mock.patch.object(core, "_integer_table", lambda path, skiprows: None):
+            return read(path)
+    return reading
+
+
+# doubles that round (2^53 + 1, 2^63 - 1) and integers beyond int64 (2^63, 10^19)
+EDGE_INTEGERS = [2**53 - 1, 2**53, 2**53 + 1, 2**63 - 1, 2**63, 10**19]
+
+
+@st.composite
+def integer_csv_texts(draw) -> str:
+    """A symmetric table of integer tokens, spelled with signs, zeros, spaces, CRLF and comments."""
+    n = draw(st.integers(1, 5))
+    values = st.one_of(st.integers(0, 130), st.sampled_from(EDGE_INTEGERS))
+    square = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            square[i][j] = square[j][i] = draw(values)
+    if draw(st.booleans()):  # now and then a nonzero diagonal, an error either way
+        square[0][0] = draw(st.integers(0, 2))
+    spelling = st.tuples(st.sampled_from(["", " ", "\t"]), st.sampled_from(["", "+"]),
+                         st.sampled_from(["", "0", "000"]), st.sampled_from(["", " "]))
+    lines = []
+    for row in square:
+        fields = []
+        for value in row:
+            before, sign, zeros, after = draw(spelling)
+            fields.append(f"{before}{sign}{zeros}{value}{after}")
+        lines.append(",".join(fields))
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), "# a comment line")
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(integer_csv_texts())
+@example("0,+9007199254740993\r\n09007199254740993,0\r\n")
+@example("0,9223372036854775807\n9223372036854775807,0\n")
+@example("0,9223372036854775808\n9223372036854775808,0\n")
+def test_integer_tables_read_bitwise_as_the_float_parser_reads_them(text):
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "table.csv"
+        path.write_bytes(text.encode())
+        got = read_outcome(dc.read_distance_csv, path)
+        assert got == read_outcome(float_parse(dc.read_distance_csv), path)
+
+
+def took_integer_parser(read, path) -> bool:
+    """Whether ``read(path)``, which must not raise, took the integer parser."""
+    taken = []
+    integer_table = core._integer_table
+
+    def recording(path, skiprows):
+        table = integer_table(path, skiprows)
+        taken.append(table is not None)
+        return table
+
+    with mock.patch.object(core, "_integer_table", recording):
+        read_outcome(read, path)
+    return taken == [True]
+
+
+@pytest.mark.parametrize("text, integer", [
+    ("0,1\n1,0\n", True),
+    ("0,+5\r\n05, 0\r\n", True),
+    ("0,9223372036854775807\n9223372036854775807,0\n", True),
+    ("0,9223372036854775808\n9223372036854775808,0\n", False),
+    ("0,1\n1,0\n5.\n", False),
+    ("0,1\n1,1_0\n", False),
+    ("-0,1\n1,0\n", False),
+    ("0,1\n1,-1\n", False),
+    ("", False),
+    ("# only a comment\n", False),
+])
+def test_only_integer_tables_without_a_minus_take_the_integer_parser(tmp_path, text, integer):
+    path = tmp_path / "table.csv"
+    path.write_text(text)
+    assert took_integer_parser(dc.read_distance_csv, path) == integer
+    assert read_outcome(dc.read_distance_csv, path) == read_outcome(float_parse(dc.read_distance_csv), path)
+
+
+def test_integer_rows_then_one_float_row_read_as_the_float_parser_reads_them(tmp_path):
+    path = tmp_path / "points.csv"
+    rows = [f"{3 * i},{i * i}" for i in range(40)]
+    path.write_text("\n".join(rows) + "\n5.,7\n")
+    table = dc.read_data_csv(path)
+    assert table.tobytes() == float_parse(dc.read_data_csv)(path).tobytes()
+    assert table[-1].tolist() == [5.0, 7.0] and table.shape == (41, 2)
+
+
+def test_negative_zero_entries_keep_their_sign(tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_text("-0,3,-0\n3,-0,4\n-0,4,0\n")
+    table = dc.read_data_csv(path)
+    assert np.signbit(table).tolist() == [[True, False, True], [False, True, False], [True, False, False]]
+    # the mean of two -0.0 mirror entries is -0.0 too
+    assert np.signbit(dc.read_distance_csv(path).condensed).tolist() == [False, True, False]
+
+
+def test_an_integer_table_is_cast_in_place_in_row_blocks(monkeypatch, tmp_path):
+    n = 13
+    raw = np.random.default_rng(n).integers(0, 2**62, (n, n))
+    raw = np.triu(raw, 1) + np.triu(raw, 1).T
+    path = tmp_path / "table.csv"
+    np.savetxt(path, raw, fmt="%d", delimiter=",")
+    monkeypatch.setattr(core, "_BLOCK_ENTRIES", 3 * n)  # blocks of rows 0-2, 3-5, ..., 12
+    table = core._integer_table(path, 0)
+    assert table.dtype == np.float64 and table.tobytes() == raw.astype(np.float64).tobytes()
+
+
+def test_a_stream_is_read_once_by_the_float_parser():
+    # the integer parser would use the stream up before a float table could be read
+    stream = io.StringIO("0,1.5\n2,3\n")
+    assert dc.read_data_csv(stream).tolist() == [[0.0, 1.5], [2.0, 3.0]]

@@ -5,6 +5,7 @@ import re
 import signal
 import tracemalloc
 from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -597,6 +598,60 @@ def test_json_text_keeps_its_layout_on_a_deep_caterpillar():
     assert dc.tree_to_json(back) == text
 
 
+def shaped_tree(objects: list[int], cut) -> dc.Dendrogram:
+    """The tree that splits each run of ``objects`` in two at ``cut(run)``, a node's level its size less one."""
+    runs, kids = [objects], []
+    for run in runs:  # grows as it goes: each split appends its two sides
+        if len(run) == 1:
+            kids.append(None)
+            continue
+        at = cut(run)
+        runs += [run[:at], run[at:]]
+        kids.append((len(runs) - 2, len(runs) - 1))
+    return dc.Dendrogram._built(len(objects), kids, [len(run) - 1.0 for run in runs],
+                                [run[0] for run in runs])
+
+
+TREE_SHAPES = {
+    # each node peels its first object: in ascending order the peeled name goes
+    # before every other, in descending order after every other
+    "ascending peel": (sorted, lambda run: 1),
+    "descending peel": (lambda objects: sorted(objects, reverse=True), lambda run: 1),
+    "peel": (list, lambda run: 1),
+    "balanced": (list, lambda run: len(run) // 2),
+}
+
+
+@pytest.mark.parametrize("ratio", [hierarchy._SPLICE_RATIO, 1])
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(st.integers(2, 300), st.sampled_from([*TREE_SHAPES, "random"]), st.randoms(use_true_random=False))
+def test_spliced_member_texts_equal_the_token_join(ratio, n, shape, rng):
+    # a ratio of 1 splices every node, the near-even ones too
+    objects = list(range(n))
+    rng.shuffle(objects)
+    if shape == "random":
+        tree = shaped_tree(objects, lambda run: rng.randrange(1, len(run)))
+    else:
+        order, cut = TREE_SHAPES[shape]
+        tree = shaped_tree(order(objects), cut)
+    with mock.patch.object(hierarchy, "_SPLICE_RATIO", ratio):
+        texts = hierarchy._member_texts(tree)
+        text = dc.tree_to_json(tree)
+    assert texts == [",\n        ".join(map(str, node.members)) for node in tree.nodes]
+    assert text == json_in_one_dumps(tree)
+
+
+def test_a_splice_places_names_beside_names_they_prefix():
+    # 12 goes between 1 and 123, and 112 after 12 and before 123: no name is
+    # found inside a longer one
+    text = hierarchy._MEMBER_SEP.join(["1", "123", "1123"])
+    names = [str(i) for i in range(1200)]
+    members = [1, 123, 1123]
+    spliced = hierarchy._splice(members, text, [0, 12, 112, 1124], names)
+    assert members == [0, 1, 12, 112, 123, 1123, 1124]
+    assert spliced == hierarchy._MEMBER_SEP.join(map(str, members))
+
+
 def test_json_writer_holds_its_text_about_twice_on_a_deep_caterpillar():
     tree = caterpillar(1100)
     # 1100 member lists adding up to 605 000 entries: 8.0 MB of text
@@ -678,7 +733,7 @@ def test_a_text_of_many_short_records_is_not_written_back(monkeypatch):
     def refuse(tree):
         raise AssertionError("wrote back a tree of more members than its text")
 
-    monkeypatch.setattr(hierarchy.Dendrogram, "_member_lists", refuse)
+    monkeypatch.setattr(hierarchy, "_member_texts", refuse)
     assert hierarchy._read_own_text(text) is None
     with pytest.raises(dc.DivclustError, match="partition"):
         dc.tree_from_json(text)

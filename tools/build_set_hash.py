@@ -41,6 +41,12 @@ candidates a two-seeds search screens, and the clusters where a ``pddp``
 build found no positive principal axis and fell back to the
 ``two-seeds:average`` split, whose rescores are among the ``average`` calls.
 
+Each table is also written as CSV text, ``%d`` where every entry is a whole
+number and ``%.17g`` otherwise, and read back with ``read_distance_csv``,
+which must return the table bit for bit. The run counts the reads that took
+the integer parser; the ``integer`` family's tables and the caterpillar
+should.
+
 Run from the repository root:
 
     PYTHONPATH=src python tools/build_set_hash.py [--each]
@@ -52,7 +58,9 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 
@@ -67,12 +75,13 @@ from divclust import (
     dendrogram_svg,
     euclidean_from_data,
     generate_dataset,
+    read_distance_csv,
     to_newick,
     tree_from_json,
     tree_to_json,
     validate_matrix,
 )
-from divclust import hierarchy, splitters
+from divclust import core, hierarchy, splitters
 from divclust.criteria import CandidateScreen
 from divclust.errors import NoPositiveEigenvalueError
 
@@ -161,6 +170,30 @@ def build_record(m: DissimilarityMatrix, token: str, reads: Counter) -> tuple[by
     return "\0".join(parts).encode(), values.condensed.astype("<f8").tobytes(), score
 
 
+def check_csv_read(m: DissimilarityMatrix, path: Path) -> None:
+    """Write the table to ``path`` as CSV text and require ``read_distance_csv`` to return it bitwise."""
+    square = m.square()
+    whole = bool((square == np.trunc(square)).all())
+    np.savetxt(path, square, fmt="%d" if whole else "%.17g", delimiter=",")
+    if read_distance_csv(path).condensed.tobytes() != m.condensed.tobytes():
+        raise SystemExit(f"{path.name}: the CSV text does not read back to the same table")
+
+
+def count_integer_reads() -> Counter:
+    """Count every CSV read that takes the integer parser from now on."""
+    calls = Counter()
+    integer_table = core._integer_table
+
+    def counted(path, skiprows):
+        table = integer_table(path, skiprows)
+        calls["integer"] += table is not None
+        calls["reads"] += 1
+        return table
+
+    core._integer_table = counted
+    return calls
+
+
 def count_screen_calls(name: str) -> Counter:
     """Count every call of the ``CandidateScreen`` method ``name`` from now on, by criterion."""
     calls = Counter()
@@ -205,26 +238,32 @@ def main() -> None:
     batches = count_screen_calls("score")
     fallbacks = count_pddp_fallbacks()
     reads = Counter()
+    csv_reads = count_integer_reads()
     family_batches = {}
     family_fallbacks = {}
-    for family, tables in families().items():
-        batches_before = batches.total()
-        fallbacks_before = fallbacks.total()
-        digest = hashlib.sha256()
-        for index, (m, tokens) in enumerate(tables):
-            for token in tokens:
-                record, values, score = build_record(m, token, reads)
-                digest.update(f"{index} {token}\0".encode() + record + b"\0")
-                build = f"{family} {index} {token}\0".encode()
-                values_digest.update(build + values + b"\0")
-                cpcc_digest.update(build + score + b"\0")
-                if args.each:
-                    print(family, index, token, hashlib.sha256(record).hexdigest()[:16])
-        family_batches[family] = batches.total() - batches_before
-        family_fallbacks[family] = fallbacks.total() - fallbacks_before
-        builds = sum(len(tokens) for _, tokens in tables)
-        total += builds
-        print(f"{family}: {builds} builds {digest.hexdigest()}")
+    family_integer_reads = {}
+    with tempfile.TemporaryDirectory() as scratch:
+        for family, tables in families().items():
+            batches_before = batches.total()
+            fallbacks_before = fallbacks.total()
+            integer_before = csv_reads["integer"]
+            digest = hashlib.sha256()
+            for index, (m, tokens) in enumerate(tables):
+                check_csv_read(m, Path(scratch) / f"{family}_{index}.csv")
+                for token in tokens:
+                    record, values, score = build_record(m, token, reads)
+                    digest.update(f"{index} {token}\0".encode() + record + b"\0")
+                    build = f"{family} {index} {token}\0".encode()
+                    values_digest.update(build + values + b"\0")
+                    cpcc_digest.update(build + score + b"\0")
+                    if args.each:
+                        print(family, index, token, hashlib.sha256(record).hexdigest()[:16])
+            family_batches[family] = batches.total() - batches_before
+            family_fallbacks[family] = fallbacks.total() - fallbacks_before
+            family_integer_reads[family] = csv_reads["integer"] - integer_before
+            builds = sum(len(tokens) for _, tokens in tables)
+            total += builds
+            print(f"{family}: {builds} builds {digest.hexdigest()}")
     print(f"cophenetic: {total} builds {values_digest.hexdigest()}")
     print(f"cpcc: {total} builds {cpcc_digest.hexdigest()}")
     per_criterion = ", ".join(f"{name} {count}" for name, count in sorted(calls.items()))
@@ -232,6 +271,8 @@ def main() -> None:
     print(f"screened batches: {batches.total()} ({per_family(family_batches)})")
     print(f"pddp fallbacks: {fallbacks.total()} ({per_family(family_fallbacks)})")
     print(f"tree JSON fast reads: {reads['fast']} of {reads['trees']}")
+    print(f"CSV integer reads: {csv_reads['integer']} of {csv_reads['reads']}"
+          f" ({per_family(family_integer_reads)})")
 
 
 if __name__ == "__main__":
