@@ -51,6 +51,7 @@ def parse_criterion(token: str) -> Criterion:
 
 
 _PAIR_SCREENS = frozenset({Criterion.SINGLE_LINK, Criterion.COMPLETE_LINK, Criterion.DUNN})
+_ENTRY_SCORES = frozenset({Criterion.SINGLE_LINK, Criterion.COMPLETE_LINK})
 
 # Candidates times k^2 in one chunk: the multiply-adds of one table product.
 # OpenBLAS computes products up to 2^18 on the calling thread and larger ones
@@ -97,13 +98,16 @@ class CandidateScreen:
     :meth:`exact` on candidate c yields a value within ``bands[c]`` of
     ``scores[c]``; a zero band means the two are bitwise equal.
 
-    Both run the same expressions. Additive criteria start from every
-    object's sum to each side: the screen takes them from the row products
-    ``masks @ table`` and ``~masks @ table``, the exact score from plain
-    numpy sums of one mask's rows, so it depends neither on chunking nor on
-    the BLAS thread count. From them come the cross sum and both within
-    sums. All terms are nonnegative, so either way sums them to a relative
-    error below ``rho = (k^2 + 2k + 16) * eps``, whatever the grouping; the
+    Both run the same expressions, and form only what the criterion reads.
+    Additive criteria convert the masks to floats once, the left side, and
+    take the right side as one minus it, bitwise ``(~masks).astype(float)``.
+    They start from every object's sum to each side they read: the screen
+    takes them from the row products ``left @ table`` and ``right @ table``,
+    the exact score from plain numpy sums of one mask's rows, so it depends
+    neither on chunking nor on the BLAS thread count. From them come the
+    cross sum and, where read, both within sums. All terms are nonnegative,
+    so either way sums them to a relative error below
+    ``rho = (k^2 + 2k + 16) * eps``, whatever the grouping; the
     bands are 8 * rho times each criterion's scale, which covers both sides'
     errors and the few roundings that combine them. Min/max parts are exact
     in both: the first pair, in a value-sorted pair list, lying across the
@@ -114,7 +118,9 @@ class CandidateScreen:
     its entries are zero, so the Dunn sentinels are decided exactly. If a
     nonzero entry falls below ``_SMALLEST_SAFE_ENTRY`` the relative bounds
     may fail, and every nonzero band is infinite; a zero band stays exact,
-    since its sums have only zero terms or its score is a table entry.
+    since its sums have only zero terms or its score is a table entry. So
+    the table is scanned for such entries only for criteria with nonzero
+    bands, all but single and complete link.
     """
 
     def __init__(self, criterion: Criterion, table: np.ndarray):
@@ -124,8 +130,11 @@ class CandidateScreen:
         self.criterion = criterion
         self.table = table
         self.k = k
-        positive = table[table > 0.0]
-        self.bounded = positive.size == 0 or positive.min() >= _SMALLEST_SAFE_ENTRY
+        # single and complete link score table entries, with zero bands; the
+        # entries are nonnegative, so every nonzero one is safe when as many
+        # are at least the smallest safe entry
+        self.bounded = criterion in _ENTRY_SCORES or (
+            np.count_nonzero(table >= _SMALLEST_SAFE_ENTRY) == np.count_nonzero(table))
         self.band = _relative_band(k)
         self.chunk = max(1, _CHUNK_PRODUCT // (k * k))
         self.block = self.chunk * max(1, _BLOCK_ENTRIES // (self.chunk * k))
@@ -141,16 +150,18 @@ class CandidateScreen:
         """Per candidate, the first pair position on the wanted sides; -1 if none."""
         first, second, _ = self.pairs
         compare = np.equal if same_side else np.not_equal
-        pos = np.full(len(masks), -1)
+        pos = np.empty(len(masks), dtype=int)  # the first block sets every row
         rows = np.arange(len(masks))
         for start in range(0, first.size, _SCAN_BLOCK):
             block = slice(start, start + _SCAN_BLOCK)
-            hits = compare(masks[:, first[block]], masks[:, second[block]])
+            hits = compare(masks.take(first[block], 1), masks.take(second[block], 1))
+            # a candidate with no pair here reads ``start`` until a later block, or -1
+            pos[rows] = start + hits.argmax(axis=1)
             found = hits.any(axis=1)
-            pos[rows[found]] = start + hits.argmax(axis=1)[found]
             if found.all():
-                break
+                return pos
             masks, rows = masks[~found], rows[~found]
+        pos[rows] = -1
         return pos
 
     def _diameters(self, masks: np.ndarray) -> np.ndarray:
@@ -159,8 +170,7 @@ class CandidateScreen:
         return np.where(pos >= 0, self.pairs[2][pos], 0.0)
 
     def _products(self, side: np.ndarray) -> np.ndarray:
-        """``side @ table``, formed ``chunk`` rows at a time."""
-        side = side.astype(float)
+        """``side @ table`` for a C-by-k float side, formed ``chunk`` rows at a time."""
         if len(side) <= self.chunk:
             return side @ self.table
         out = np.empty((len(side), self.k))
@@ -184,10 +194,15 @@ class CandidateScreen:
 
     def exact(self, mask: np.ndarray) -> float:
         """Exact score of one candidate (a k-vector, True = left)."""
-        return float(self._score(mask[None], lambda side: _plain_sums(self.table, side))[0][0])
+        return float(self._score(mask[None], self._sums)[0][0])
+
+    def _sums(self, side: np.ndarray) -> np.ndarray:
+        """Every object's sum to a 1-by-k float side, by plain numpy sums of its rows."""
+        return _plain_sums(self.table, side == 1.0)
 
     def _score(self, masks: np.ndarray, sums) -> tuple[np.ndarray, np.ndarray]:
-        """Scores and bands of ``masks``; ``sums(side)`` gives every object's sum to a side."""
+        """Scores and bands of ``masks``; ``sums(side)`` gives every object's sum to a
+        side given as floats, 1.0 on it and 0.0 off it."""
         criterion = self.criterion
         if criterion is Criterion.SINGLE_LINK:
             pos = self._first_pair(masks, same_side=False)
@@ -195,38 +210,36 @@ class CandidateScreen:
         if criterion is Criterion.COMPLETE_LINK:
             diam = self._diameters(masks)
             return -diam, np.zeros(len(diam))
-        to_left = sums(masks)
-        if criterion is Criterion.SILHOUETTE:
-            scores = _silhouette_widths(masks, to_left, sums(~masks)).mean(axis=1)
-            return scores, np.full(len(scores), self.band)
         left = masks.astype(float)
-        right = 1.0 - left
+        right = 1.0 - left  # bitwise (~masks).astype(float)
+        to_left = sums(left)
+        if criterion is Criterion.SILHOUETTE:
+            # the row sums over k, as ``mean`` forms them
+            scores = _silhouette_widths(masks, to_left, sums(right)).sum(axis=1) / self.k
+            return scores, np.full(len(scores), self.band)
         n_left = left.sum(axis=1)
         n_right = self.k - n_left
+        pairs = n_left * n_right
         cross = np.einsum("ij,ij->i", right, to_left)
         if criterion is Criterion.AVERAGE_LINK:
-            scores = cross / (n_left * n_right)
+            scores = cross / pairs
             return scores, self.band * scores
         if criterion is Criterion.DUNN:
-            return self._ratio(cross / (n_left * n_right), self._diameters(masks))
-        to_right = sums(~masks)
+            return self._ratio(cross / pairs, self._diameters(masks))
+        to_right = sums(right)
         within_left = np.einsum("ij,ij->i", left, to_left)
         within_right = np.einsum("ij,ij->i", right, to_right)
         if criterion in (Criterion.WARD_ORIGINAL, Criterion.WARD_SZEKELY_RIZZO):
-            factor = n_left * n_right / (n_left + n_right)
-            terms = (
-                2.0 * cross / (n_left * n_right),
-                within_left / n_left**2,
-                within_right / n_right**2,
-            )
+            factor = pairs / self.k  # n_left + n_right is exactly k
+            terms = (2.0 * cross / pairs, within_left / n_left**2, within_right / n_right**2)
             scores = factor * (terms[0] - terms[1] - terms[2])
-            return scores, self.band * (factor * sum(terms) + np.abs(scores))
+            return scores, self.band * (factor * (terms[0] + terms[1] + terms[2]) + np.abs(scores))
         if criterion is Criterion.DUNN_VARIANT:
             den = np.maximum(
                 _mean_or_zero(within_left, n_left * (n_left - 1)),
                 _mean_or_zero(within_right, n_right * (n_right - 1)),
             )
-            return self._ratio(cross / (n_left * n_right), den)
+            return self._ratio(cross / pairs, den)
         raise DivclustError(f"unhandled criterion: {criterion}")
 
     def _ratio(self, num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -236,9 +249,10 @@ class CandidateScreen:
         the float maximum; it is then infinite, and so is its band.
         """
         scores = np.where(num > 0.0, np.inf, 0.0)
+        divides = den > 0.0
         with np.errstate(over="ignore"):
-            np.divide(num, den, out=scores, where=den > 0.0)
-            return scores, np.where(den > 0.0, self.band * scores, 0.0)
+            np.divide(num, den, out=scores, where=divides)
+            return scores, np.multiply(self.band, scores, out=np.zeros(len(den)), where=divides)
 
 
 def _upper_pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -293,14 +307,14 @@ def _silhouette_widths(masks: np.ndarray, to_left: np.ndarray, to_right: np.ndar
     """Silhouette width (b - a) / max(a, b) of every object, per candidate; 0 where a = b = 0."""
     a, b = _side_means(masks, to_left, to_right)
     peak = np.maximum(a, b)
-    widths = np.zeros_like(a)
+    widths = np.zeros(a.shape)
     np.divide(b - a, peak, out=widths, where=peak > 0.0)
     return widths
 
 
 def _mean_or_zero(total: np.ndarray, count: np.ndarray) -> np.ndarray:
     """total / count, and zero where count is zero (total is then zero too)."""
-    return np.divide(total, count, out=np.zeros_like(total), where=count > 0)
+    return np.divide(total, count, out=np.zeros(total.shape), where=count > 0)
 
 
 def _union_table(m: DissimilarityMatrix, b: Bipartition) -> tuple[np.ndarray, int, np.ndarray]:

@@ -89,7 +89,7 @@ class Dendrogram:
         if n < 2:
             raise DivclustError("a dendrogram needs at least 2 objects")
         claimed = [c for pair in kids if pair is not None for c in pair]
-        if not all(0 <= c < len(kids) for c in claimed):
+        if claimed and not (min(claimed) >= 0 and max(claimed) < len(kids)):
             raise DivclustError("bad child ids")
         stack = list(set(range(len(kids))).difference(claimed))  # the unclaimed nodes
         whole = len(kids) == 2 * n - 1 and len(stack) == 1
@@ -120,12 +120,15 @@ class Dendrogram:
         if sorted(order) != list(range(n)):
             raise DivclustError("leaves must hold the objects 0..n-1")
         sizes = [1] * len(kids)
+        firsts, seconds = [-1] * len(kids), [-1] * len(kids)
         for nid in reversed(preorder):
             if kids[nid] is not None:
                 first, second = kids[nid]
+                firsts[nid], seconds[nid] = first, second
                 sizes[nid] = sizes[first] + sizes[second]
         arrays = {
-            "children": np.array([pair or (-1, -1) for pair in kids], dtype=np.intp),
+            # two lists of ints convert faster than one list of pairs
+            "children": np.array((firsts, seconds), dtype=np.intp).T.copy(),
             "levels": np.array(levels, dtype=float),
             "sizes": np.array(sizes, dtype=np.intp),
             "order": np.array(order, dtype=np.intp),
@@ -242,10 +245,9 @@ def divisive_hierarchy(m: DissimilarityMatrix, splitter: Splitter) -> Dendrogram
         idx = members_of[nid]
         mask, carry = split_mask(square, idx, splitter, carried)
         for side in (mask, ~mask):
-            pos = np.flatnonzero(side)
-            members_of.append(idx[pos])
-            if pos.size > 1:
-                handed = None if carry is None else (carry[0][pos], carry[1][pos])
+            members_of.append(idx[side])
+            if members_of[-1].size > 1:
+                handed = None if carry is None else (carry[0][side], carry[1][side])
                 queue.append((len(members_of) - 1, handed))
         children[nid] = (len(members_of) - 2, len(members_of) - 1)
     levels = [0.0] * len(members_of)

@@ -100,13 +100,16 @@ def _gather(square: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return square.take(idx, 0).take(idx, 1)
 
 
-def _pair_masks(sub: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Left-side masks of the seed pairs (a, b): nearer seed, ties to seed a, seeds forced."""
-    # row x of the symmetric table is its column x: distances to seed x
-    mask = sub[a] <= sub[b]
-    rows = np.arange(a.size)
-    mask[rows, a] = True
-    mask[rows, b] = False
+def _pair_masks(sub: np.ndarray, a: np.ndarray, b: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Left-side masks of the seed pairs (a, b): nearer seed, ties to seed a, seeds forced.
+
+    ``offsets`` starts with the flat offsets 0, k, 2k, ... of the masks' rows.
+    """
+    # row x of the symmetric table is its column x: distances to seed x. The
+    # diagonal is zero, so seed a is on its side; seed b is put off it, where
+    # d(a, b) is zero too
+    mask = sub.take(a, 0) <= sub.take(b, 0)
+    mask.reshape(-1)[offsets[: a.size] + b] = False
     return mask
 
 
@@ -123,13 +126,15 @@ def two_seeds_split(
     Candidates are screened as they are built, one block of seed pairs at a
     time in bounded scratch memory (:class:`CandidateScreen`): a whole number
     of chunks of at most 2^18 / k^2 candidates, whose C-by-k temporaries stay
-    within 2^13 entries. Only those whose screened score lies within the
-    error bands of the screened maximum are rescored exactly, by the same
-    expressions on plain numpy sums, each distinct mask once. None is
-    rescored when all their bands are zero (exact scores), or when they all
-    make one bipartition, in either orientation, as the exact scores could
-    then only choose its orientation. So the choice is the one exact scoring
-    of every candidate would make.
+    within 2^13 entries. Each block's masks are built once, and the masks of
+    the candidates whose screened score lies within its error band of the
+    best lower bound so far are kept; the final bound drops the rest. Those
+    left contend, and are rescored exactly, by the same expressions on plain
+    numpy sums, each distinct mask once. None is rescored when all their
+    bands are zero (exact scores), or when they all make one bipartition, in
+    either orientation, as the exact scores could then only choose its
+    orientation. So the choice is the one exact scoring of every candidate
+    would make.
     """
     return split_cluster(m, members, Splitter(TWO_SEEDS, criterion))
 
@@ -137,45 +142,57 @@ def two_seeds_split(
 def _two_seeds_mask(sub: np.ndarray, criterion: Criterion) -> np.ndarray:
     """Winning two-seeds candidate of a cluster's table, as seed i's side mask.
 
-    The seed pairs' masks are built and screened ``screen.block`` pairs at a
-    time, and the screen forms each block's row products ``screen.chunk``
-    rows at a time. A block is a whole number of chunks, so every product,
-    and so every screened score, is bitwise what screening one chunk at a
-    time gives. The contenders' masks are then rebuilt, in one more pass of
-    blocks, into the distinct masks among them, in seed-pair order.
-    If they all make one bipartition, in either orientation, it is returned
+    One pass builds the seed pairs' masks ``screen.block`` pairs at a time
+    and screens each block once; the screen forms a block's row products
+    ``screen.chunk`` rows at a time. A block is a whole number of chunks, so
+    every product, and so every screened score, is bitwise what screening
+    one chunk at a time gives. The pass keeps, from each block, the masks,
+    upper bounds and bands of the candidates not below the best lower bound
+    so far; once every block is screened, the final best lower bound drops
+    the rest, which leaves the contenders in seed-pair order. A single block
+    is neither concatenated nor filtered again: its bound was already the
+    final one. If every contender's band is zero, the first one wins. If
+    they all make one bipartition, in either orientation, it is returned
     unscored: ``split_mask`` orients every winner to the first member's side.
-    Else each distinct mask is rescored, and the first strict maximum wins.
+    Else each distinct mask is rescored once, and the first strict maximum
+    wins.
     """
     a, b = _upper_pairs(len(sub))  # every (a, b) with a < b, in lexicographic order
     screen = CandidateScreen(criterion, sub)
-
-    def blocks(which):
-        for start in range(0, which.size, screen.block):
-            part = which[start : start + screen.block]
-            yield _pair_masks(sub, a[part], b[part])
-
-    screened = [screen.score(masks) for masks in blocks(np.arange(a.size))]
-    scores = np.concatenate([block[0] for block in screened])
-    bands = np.concatenate([block[1] for block in screened])
-    # every candidate that can reach the best lower bound (an infinite band
-    # has none); a NaN anywhere fails every comparison and keeps them all, as
-    # exact scoring would see them
-    lower = np.subtract(scores, bands, out=np.full_like(scores, -np.inf), where=bands != np.inf)
-    contenders = np.flatnonzero(~(scores + bands < np.max(lower)))
-    if not bands[contenders].any():
+    offsets = np.arange(0, min(screen.block, a.size) * len(sub), len(sub))
+    best = -np.inf
+    kept = []
+    for start in range(0, a.size, screen.block):
+        part = slice(start, start + screen.block)
+        masks = _pair_masks(sub, a[part], b[part], offsets)
+        scores, bands = screen.score(masks)
+        # the best lower bound so far (an infinite band has none); a NaN
+        # makes it NaN, which fails every comparison and keeps every
+        # candidate from then on, as exact scoring would see them: each one
+        # dropped before scores below one that is kept
+        lower = np.subtract(scores, bands, out=np.full(len(bands), -np.inf), where=bands != np.inf)
+        best = lower.max(initial=best)
+        upper = scores + bands
+        near = ~(upper < best)
+        kept.append((masks[near], upper[near], bands[near]))
+    if len(kept) == 1:
+        (masks, _, bands), = kept
+    else:
+        masks, upper, bands = map(np.concatenate, zip(*kept))
+        del kept  # the pieces, before the contenders are copied out
+        near = ~(upper < best)
+        masks, bands = masks[near], bands[near]
+    if not bands.any():
         # a zero band is an exact score, so every contender scores the best
-        first = contenders[:1]
-        return _pair_masks(sub, a[first], b[first])[0]
-    distinct: dict[bytes, np.ndarray] = {}
-    for masks in blocks(contenders):
-        for mask in masks:
-            distinct.setdefault(mask.tobytes(), mask)
+        return masks[0]
     # the exact scores only choose among bipartitions: with one, in either
     # orientation, they choose nothing
-    first = next(iter(distinct.values()))
-    if distinct.keys() <= {first.tobytes(), (~first).tobytes()}:
-        return first
+    sides = masks == masks[:, :1]  # each contender's objects on object 0's side
+    if (sides == sides[0]).all():
+        return masks[0]
+    distinct: dict[bytes, np.ndarray] = {}
+    for mask in masks:
+        distinct.setdefault(mask.tobytes(), mask)
     best = -np.inf
     winner = None
     for mask in distinct.values():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 import divclust as dc
 from conftest import DIVISIVE_SPLITTERS, MEAN_TIE_TABLE, random_matrix, tie_heavy_matrices
 from divclust.core import _into_window
-from divclust.criteria import CandidateScreen, _relative_band
+from divclust.criteria import CandidateScreen, _relative_band, _upper_pairs
 from divclust.splitters import (
     _carried_seed,
     _macnaughton_smith_mask,
@@ -211,14 +212,22 @@ def record_exact_calls(monkeypatch) -> list:
     return calls
 
 
-def square_of_groups(size: int) -> dc.DissimilarityMatrix:
-    """Four groups of ``size`` objects at the corners of a square: 1 within a
-    group, 5 to a neighbouring corner, 7 across the diagonal."""
-    corner = np.arange(4 * size) // size
-    apart = np.abs(corner[:, None] - corner[None, :])
-    table = np.choose(np.minimum(apart, 4 - apart), [1.0, 5.0, 7.0])
+def groups_matrix(labels, between) -> dc.DissimilarityMatrix:
+    """Objects in the groups ``labels``, ``between[g][h]`` apart across groups g
+    and h and ``between[g][g]`` within group g."""
+    table = np.asarray(between, dtype=float)[np.ix_(labels, labels)]
     np.fill_diagonal(table, 0.0)
     return dc.validate_matrix(table)
+
+
+# Distances between the corners of a square, and within one: 1 within a
+# corner, 5 to a neighbouring corner, 7 across the diagonal.
+SQUARE_CORNERS = [[[1, 5, 7, 5][(h - g) % 4] for h in range(4)] for g in range(4)]
+
+
+def square_of_groups(size: int) -> dc.DissimilarityMatrix:
+    """Four groups of ``size`` objects at the corners of a square."""
+    return groups_matrix(np.arange(4 * size) // size, SQUARE_CORNERS)
 
 
 def test_two_seeds_rescores_each_distinct_mask_once(monkeypatch):
@@ -246,6 +255,70 @@ def test_two_seeds_returns_a_lone_contending_bipartition_unscored(monkeypatch):
         assert calls == []
         monkeypatch.undo()
         assert got == exact_loop_split(m, range(60), criterion)
+
+
+def test_two_seeds_tie_across_blocks_goes_to_the_earlier_seed_pair(monkeypatch):
+    # Q = objects 0-11, R = 12-23 and P = 24-29: 1 within a group, P-R 2,
+    # Q-R 3, Q-P 6. A seed pair with an object of Q makes {Q | P + R}, a pair
+    # from R and P makes {Q + R | P}, and both splits' mean cross distance is
+    # 4, exactly. At k = 30 a block is 291 seed pairs: every pair of the
+    # first split lies in the first block, from (0, 12) on, and every pair
+    # of the second in the second, from (12, 24) on. Both contend, and the
+    # earlier wins
+    m = groups_matrix(np.repeat([0, 2, 1], [12, 12, 6]), [[1, 6, 3], [6, 1, 2], [3, 2, 1]])
+    criterion = dc.Criterion.AVERAGE_LINK
+    assert CandidateScreen(criterion, m.square()).block == 291
+    calls = record_exact_calls(monkeypatch)
+    got = dc.two_seeds_split(m, range(30), criterion)
+    assert {members for _, members in calls} >= {tuple(range(12)), tuple(range(24))}
+    assert got == dc.Bipartition(tuple(range(12)), tuple(range(12, 30)))
+    monkeypatch.undo()
+    assert got == exact_loop_split(m, range(30), criterion)
+
+
+def test_two_seeds_rescores_no_candidate_below_a_later_blocks_bound(monkeypatch):
+    # objects 0-4 lie 0.5 from every other object; then four groups of nine
+    # sit at the corners of a square. At k = 41 a block is 155 seed pairs,
+    # and the first holds every pair whose first seed is among objects 0-3,
+    # and (4, 5): each puts every object but its second seed on its side.
+    # The best of them passes its own block's bound, but the splits along
+    # the square's sides, which only later blocks make and which tie, raise
+    # the bound above every one
+    labels = np.repeat([0, 1, 2, 3, 4], [5, 9, 9, 9, 9])
+    m = groups_matrix(labels, [[0.5] * 5] + [[0.5] + row for row in SQUARE_CORNERS])
+    criterion = dc.Criterion.AVERAGE_LINK
+    sub = m.square()
+    assert CandidateScreen(criterion, sub).block == 155
+    a, b = _upper_pairs(41)
+    first_block = set()
+    for i, j in zip(a[:155].tolist(), b[:155].tolist()):
+        mask = sub[:, i] <= sub[:, j]
+        mask[i], mask[j] = True, False
+        first_block.add(tuple(np.flatnonzero(mask)))
+    calls = record_exact_calls(monkeypatch)
+    got = dc.two_seeds_split(m, range(41), criterion)
+    rescored = {members for _, members in calls}
+    assert len(rescored) >= 2 and not rescored & first_block
+    monkeypatch.undo()
+    assert got == exact_loop_split(m, range(41), criterion)
+
+
+def test_two_seeds_search_of_300_objects_keeps_only_its_contenders():
+    rng = np.random.default_rng(7)
+    centres = rng.uniform(-6.0, 6.0, (5, 10))
+    m = dc.euclidean_from_data(np.concatenate([c + rng.normal(size=(60, 10)) for c in centres]))
+    m.square()  # the matrix's cached table, not the search's
+    # 44 850 seed pairs, screened in blocks of 26 (13 chunks of 2); 1 851 of
+    # them contend, and their masks are kept, 300 bytes each. A version that
+    # held every candidate's score and band and rebuilt the contenders' masks
+    # in a second pass peaked at 3.41 MB; this one peaks at 2.79 MB
+    tracemalloc.start()
+    try:
+        dc.two_seeds_split(m, range(300), dc.Criterion.AVERAGE_LINK)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.41e6
 
 
 def test_macnaughton_smith_line4(line4):
