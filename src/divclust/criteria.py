@@ -130,11 +130,8 @@ class CandidateScreen:
         self.criterion = criterion
         self.table = table
         self.k = k
-        # single and complete link score table entries, with zero bands; the
-        # entries are nonnegative, so every nonzero one is safe when as many
-        # are at least the smallest safe entry
-        self.bounded = criterion in _ENTRY_SCORES or (
-            np.count_nonzero(table >= _SMALLEST_SAFE_ENTRY) == np.count_nonzero(table))
+        # single and complete link score table entries, with zero bands
+        self.bounded = criterion in _ENTRY_SCORES or _entries_safe(table)
         self.band = _relative_band(k)
         self.chunk = max(1, _CHUNK_PRODUCT // (k * k))
         self.block = self.chunk * max(1, _BLOCK_ENTRIES // (self.chunk * k))
@@ -150,18 +147,16 @@ class CandidateScreen:
         """Per candidate, the first pair position on the wanted sides; -1 if none."""
         first, second, _ = self.pairs
         compare = np.equal if same_side else np.not_equal
-        pos = np.empty(len(masks), dtype=int)  # the first block sets every row
+        pos = np.full(len(masks), -1)
         rows = np.arange(len(masks))
         for start in range(0, first.size, _SCAN_BLOCK):
             block = slice(start, start + _SCAN_BLOCK)
-            hits = compare(masks.take(first[block], 1), masks.take(second[block], 1))
-            # a candidate with no pair here reads ``start`` until a later block, or -1
-            pos[rows] = start + hits.argmax(axis=1)
+            hits = compare(masks[:, first[block]], masks[:, second[block]])
             found = hits.any(axis=1)
+            pos[rows[found]] = start + hits.argmax(axis=1)[found]
             if found.all():
-                return pos
+                break
             masks, rows = masks[~found], rows[~found]
-        pos[rows] = -1
         return pos
 
     def _diameters(self, masks: np.ndarray) -> np.ndarray:
@@ -214,32 +209,34 @@ class CandidateScreen:
         right = 1.0 - left  # bitwise (~masks).astype(float)
         to_left = sums(left)
         if criterion is Criterion.SILHOUETTE:
-            # the row sums over k, as ``mean`` forms them
-            scores = _silhouette_widths(masks, to_left, sums(right)).sum(axis=1) / self.k
+            scores = _silhouette_widths(masks, to_left, sums(right)).mean(axis=1)
             return scores, np.full(len(scores), self.band)
         n_left = left.sum(axis=1)
         n_right = self.k - n_left
-        pairs = n_left * n_right
         cross = np.einsum("ij,ij->i", right, to_left)
         if criterion is Criterion.AVERAGE_LINK:
-            scores = cross / pairs
+            scores = cross / (n_left * n_right)
             return scores, self.band * scores
         if criterion is Criterion.DUNN:
-            return self._ratio(cross / pairs, self._diameters(masks))
+            return self._ratio(cross / (n_left * n_right), self._diameters(masks))
         to_right = sums(right)
         within_left = np.einsum("ij,ij->i", left, to_left)
         within_right = np.einsum("ij,ij->i", right, to_right)
         if criterion in (Criterion.WARD_ORIGINAL, Criterion.WARD_SZEKELY_RIZZO):
-            factor = pairs / self.k  # n_left + n_right is exactly k
-            terms = (2.0 * cross / pairs, within_left / n_left**2, within_right / n_right**2)
+            factor = n_left * n_right / (n_left + n_right)
+            terms = (
+                2.0 * cross / (n_left * n_right),
+                within_left / n_left**2,
+                within_right / n_right**2,
+            )
             scores = factor * (terms[0] - terms[1] - terms[2])
-            return scores, self.band * (factor * (terms[0] + terms[1] + terms[2]) + np.abs(scores))
+            return scores, self.band * (factor * sum(terms) + np.abs(scores))
         if criterion is Criterion.DUNN_VARIANT:
             den = np.maximum(
                 _mean_or_zero(within_left, n_left * (n_left - 1)),
                 _mean_or_zero(within_right, n_right * (n_right - 1)),
             )
-            return self._ratio(cross / pairs, den)
+            return self._ratio(cross / (n_left * n_right), den)
         raise DivclustError(f"unhandled criterion: {criterion}")
 
     def _ratio(self, num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -249,10 +246,15 @@ class CandidateScreen:
         the float maximum; it is then infinite, and so is its band.
         """
         scores = np.where(num > 0.0, np.inf, 0.0)
-        divides = den > 0.0
         with np.errstate(over="ignore"):
-            np.divide(num, den, out=scores, where=divides)
-            return scores, np.multiply(self.band, scores, out=np.zeros(len(den)), where=divides)
+            np.divide(num, den, out=scores, where=den > 0.0)
+            return scores, np.where(den > 0.0, self.band * scores, 0.0)
+
+
+def _entries_safe(table: np.ndarray) -> bool:
+    """Whether no nonzero entry of ``table`` lies below ``_SMALLEST_SAFE_ENTRY``."""
+    positive = table[table > 0.0]
+    return positive.size == 0 or positive.min() >= _SMALLEST_SAFE_ENTRY
 
 
 def _upper_pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -307,14 +309,14 @@ def _silhouette_widths(masks: np.ndarray, to_left: np.ndarray, to_right: np.ndar
     """Silhouette width (b - a) / max(a, b) of every object, per candidate; 0 where a = b = 0."""
     a, b = _side_means(masks, to_left, to_right)
     peak = np.maximum(a, b)
-    widths = np.zeros(a.shape)
+    widths = np.zeros_like(a)
     np.divide(b - a, peak, out=widths, where=peak > 0.0)
     return widths
 
 
 def _mean_or_zero(total: np.ndarray, count: np.ndarray) -> np.ndarray:
     """total / count, and zero where count is zero (total is then zero too)."""
-    return np.divide(total, count, out=np.zeros(total.shape), where=count > 0)
+    return np.divide(total, count, out=np.zeros_like(total), where=count > 0)
 
 
 def _union_table(m: DissimilarityMatrix, b: Bipartition) -> tuple[np.ndarray, int, np.ndarray]:

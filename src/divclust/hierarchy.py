@@ -89,7 +89,7 @@ class Dendrogram:
         if n < 2:
             raise DivclustError("a dendrogram needs at least 2 objects")
         claimed = [c for pair in kids if pair is not None for c in pair]
-        if claimed and not (min(claimed) >= 0 and max(claimed) < len(kids)):
+        if not all(0 <= c < len(kids) for c in claimed):
             raise DivclustError("bad child ids")
         stack = list(set(range(len(kids))).difference(claimed))  # the unclaimed nodes
         whole = len(kids) == 2 * n - 1 and len(stack) == 1
@@ -120,15 +120,12 @@ class Dendrogram:
         if sorted(order) != list(range(n)):
             raise DivclustError("leaves must hold the objects 0..n-1")
         sizes = [1] * len(kids)
-        firsts, seconds = [-1] * len(kids), [-1] * len(kids)
         for nid in reversed(preorder):
             if kids[nid] is not None:
                 first, second = kids[nid]
-                firsts[nid], seconds[nid] = first, second
                 sizes[nid] = sizes[first] + sizes[second]
         arrays = {
-            # two lists of ints convert faster than one list of pairs
-            "children": np.array((firsts, seconds), dtype=np.intp).T.copy(),
+            "children": np.array([pair or (-1, -1) for pair in kids], dtype=np.intp),
             "levels": np.array(levels, dtype=float),
             "sizes": np.array(sizes, dtype=np.intp),
             "order": np.array(order, dtype=np.intp),

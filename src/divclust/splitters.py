@@ -100,16 +100,13 @@ def _gather(square: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return square.take(idx, 0).take(idx, 1)
 
 
-def _pair_masks(sub: np.ndarray, a: np.ndarray, b: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Left-side masks of the seed pairs (a, b): nearer seed, ties to seed a, seeds forced.
-
-    ``offsets`` starts with the flat offsets 0, k, 2k, ... of the masks' rows.
-    """
+def _pair_masks(sub: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Left-side masks of the seed pairs (a, b): nearer seed, ties to seed a, seeds forced."""
     # row x of the symmetric table is its column x: distances to seed x. The
     # diagonal is zero, so seed a is on its side; seed b is put off it, where
     # d(a, b) is zero too
     mask = sub.take(a, 0) <= sub.take(b, 0)
-    mask.reshape(-1)[offsets[: a.size] + b] = False
+    mask[np.arange(a.size), b] = False
     return mask
 
 
@@ -126,10 +123,10 @@ def two_seeds_split(
     Candidates are screened as they are built, one block of seed pairs at a
     time in bounded scratch memory (:class:`CandidateScreen`): a whole number
     of chunks of at most 2^18 / k^2 candidates, whose C-by-k temporaries stay
-    within 2^13 entries. Each block's masks are built once, and the masks of
-    the candidates whose screened score lies within its error band of the
-    best lower bound so far are kept; the final bound drops the rest. Those
-    left contend, and are rescored exactly, by the same expressions on plain
+    within 2^13 entries. Each block's masks are built once. The candidates
+    whose screened score lies within its error band of the best lower bound
+    so far are kept, by position; the final bound drops the rest. Those left
+    contend, and are rescored exactly, by the same expressions on plain
     numpy sums, each distinct mask once. None is rescored when all their
     bands are zero (exact scores), or when they all make one bipartition, in
     either orientation, as the exact scores could then only choose its
@@ -146,25 +143,26 @@ def _two_seeds_mask(sub: np.ndarray, criterion: Criterion) -> np.ndarray:
     and screens each block once; the screen forms a block's row products
     ``screen.chunk`` rows at a time. A block is a whole number of chunks, so
     every product, and so every screened score, is bitwise what screening
-    one chunk at a time gives. The pass keeps, from each block, the masks,
-    upper bounds and bands of the candidates not below the best lower bound
-    so far; once every block is screened, the final best lower bound drops
-    the rest, which leaves the contenders in seed-pair order. A single block
-    is neither concatenated nor filtered again: its bound was already the
-    final one. If every contender's band is zero, the first one wins. If
-    they all make one bipartition, in either orientation, it is returned
-    unscored: ``split_mask`` orients every winner to the first member's side.
-    Else each distinct mask is rescored once, and the first strict maximum
-    wins.
+    one chunk at a time gives. The pass keeps, from each block, which
+    candidates are not below the best lower bound so far, with their upper
+    bounds and bands; once every block is screened, the final best lower
+    bound drops the rest, which leaves the contenders in seed-pair order.
+    A search of one block neither concatenates nor filters again, as its
+    bound was already the final one, and takes its contenders' masks from
+    that block. A longer one rebuilds them, a block at a time, so that only
+    their distinct masks are held. If every contender's band is zero, the
+    first one wins. If they all make one bipartition, in either orientation,
+    it is returned unscored: ``split_mask`` orients every winner to the
+    first member's side. Else each distinct mask is rescored once, and the
+    first strict maximum wins.
     """
     a, b = _upper_pairs(len(sub))  # every (a, b) with a < b, in lexicographic order
     screen = CandidateScreen(criterion, sub)
-    offsets = np.arange(0, min(screen.block, a.size) * len(sub), len(sub))
     best = -np.inf
     kept = []
     for start in range(0, a.size, screen.block):
         part = slice(start, start + screen.block)
-        masks = _pair_masks(sub, a[part], b[part], offsets)
+        masks = _pair_masks(sub, a[part], b[part])
         scores, bands = screen.score(masks)
         # the best lower bound so far (an infinite band has none); a NaN
         # makes it NaN, which fails every comparison and keeps every
@@ -174,25 +172,32 @@ def _two_seeds_mask(sub: np.ndarray, criterion: Criterion) -> np.ndarray:
         best = lower.max(initial=best)
         upper = scores + bands
         near = ~(upper < best)
-        kept.append((masks[near], upper[near], bands[near]))
+        kept.append((near, upper[near], bands[near]))
     if len(kept) == 1:
-        (masks, _, bands), = kept
+        # its bound was the final one, and its masks are at hand
+        bands = kept[0][2]
+        contenders = [masks[near]]
     else:
-        masks, upper, bands = map(np.concatenate, zip(*kept))
-        del kept  # the pieces, before the contenders are copied out
-        near = ~(upper < best)
-        masks, bands = masks[near], bands[near]
+        near, upper, bands = map(np.concatenate, zip(*kept))
+        del kept  # the pieces, before the contenders are picked out
+        final = ~(upper < best)
+        which, bands = np.flatnonzero(near)[final], bands[final]
+        contenders = (
+            _pair_masks(sub, a[part], b[part])
+            for part in np.split(which, range(screen.block, which.size, screen.block))
+        )
     if not bands.any():
         # a zero band is an exact score, so every contender scores the best
-        return masks[0]
+        return next(iter(contenders))[0]
+    distinct: dict[bytes, np.ndarray] = {}
+    for masks in contenders:
+        for mask in masks:
+            distinct.setdefault(mask.tobytes(), mask)
     # the exact scores only choose among bipartitions: with one, in either
     # orientation, they choose nothing
-    sides = masks == masks[:, :1]  # each contender's objects on object 0's side
-    if (sides == sides[0]).all():
-        return masks[0]
-    distinct: dict[bytes, np.ndarray] = {}
-    for mask in masks:
-        distinct.setdefault(mask.tobytes(), mask)
+    first = next(iter(distinct.values()))
+    if distinct.keys() <= {first.tobytes(), (~first).tobytes()}:
+        return first
     best = -np.inf
     winner = None
     for mask in distinct.values():

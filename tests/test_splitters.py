@@ -303,22 +303,45 @@ def test_two_seeds_rescores_no_candidate_below_a_later_blocks_bound(monkeypatch)
     assert got == exact_loop_split(m, range(41), criterion)
 
 
-def test_two_seeds_search_of_300_objects_keeps_only_its_contenders():
+def mixture_of_300() -> dc.DissimilarityMatrix:
+    """300 points in 10 dimensions around five seeded centres, 60 each."""
     rng = np.random.default_rng(7)
     centres = rng.uniform(-6.0, 6.0, (5, 10))
-    m = dc.euclidean_from_data(np.concatenate([c + rng.normal(size=(60, 10)) for c in centres]))
+    return dc.euclidean_from_data(np.concatenate([c + rng.normal(size=(60, 10)) for c in centres]))
+
+
+def all_equal(k: int) -> dc.DissimilarityMatrix:
+    """k objects, each 1 from every other: every seed pair's candidate ties."""
+    return groups_matrix(np.zeros(k, dtype=int), [[1.0]])
+
+
+# 44 850 seed pairs at k = 300, screened in blocks of 26 (13 chunks of 2).
+# The mixture has 1 851 contenders under average link. In the tie-heavy
+# tables most or all candidates contend, so a search that kept every
+# contender's mask held 21-42 MB there. Each bound is the lowest peak of a
+# version that held every candidate's score and band and rebuilt the
+# contenders' masks in a second pass; the one pass, which keeps positions,
+# peaked at 1.74, 3.70, 2.26, 4.05 and 2.97 MB.
+@pytest.mark.parametrize(
+    "table, token, bound",
+    [
+        (mixture_of_300, "average", 3.37e6),
+        (lambda: square_of_groups(75), "single", 4.54e6),
+        (lambda: square_of_groups(75), "average", 3.32e6),
+        (lambda: all_equal(300), "single", 4.72e6),
+        (lambda: all_equal(300), "average", 3.65e6),
+    ],
+)
+def test_two_seeds_search_of_300_objects_stays_within_the_older_peak(table, token, bound):
+    m = table()
     m.square()  # the matrix's cached table, not the search's
-    # 44 850 seed pairs, screened in blocks of 26 (13 chunks of 2); 1 851 of
-    # them contend, and their masks are kept, 300 bytes each. A version that
-    # held every candidate's score and band and rebuilt the contenders' masks
-    # in a second pass peaked at 3.41 MB; this one peaks at 2.79 MB
     tracemalloc.start()
     try:
-        dc.two_seeds_split(m, range(300), dc.Criterion.AVERAGE_LINK)
+        dc.two_seeds_split(m, range(300), dc.parse_criterion(token))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3.41e6
+    assert peak < bound
 
 
 def test_macnaughton_smith_line4(line4):
